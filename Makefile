@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build test race vet lint bench-erasure bench-smoke bench-hotpath bench-serve bench-recovery bench-reconfig all
+.PHONY: tier1 build test race soak-transport vet lint bench-erasure bench-smoke bench-hotpath bench-serve bench-recovery bench-reconfig all
 
 all: tier1 vet lint
 
@@ -16,6 +16,13 @@ test:
 # Race-detect the packages with real concurrency.
 race:
 	$(GO) test -race ./internal/ckpt/ ./internal/erasure/ ./internal/core/ ./internal/runtime/ ./internal/cluster/ ./internal/experiments/ ./internal/transport/ ./internal/msglog/ ./internal/coll/ ./internal/enc/ ./internal/trace/ ./internal/overlay/ ./internal/bufpool/ ./internal/serve/ ./internal/replica/ ./internal/view/ ./internal/lint/cfg/ .
+
+# Soak the transport: every message rides one link and one matcher
+# ingress, whose wake-up invariants (DESIGN.md §3k) are ordering
+# properties, so the race detector runs the package's tests 20 times
+# each at three scheduler widths.
+soak-transport:
+	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -race -count=20 ./internal/transport || exit 1; done
 
 vet:
 	$(GO) vet ./...

@@ -91,7 +91,7 @@ var (
 type TransportKind int
 
 const (
-	// ChanTransport is the in-process channel network (default): the
+	// ChanTransport is the in-process network (default): the
 	// low-latency path standing in for InfiniBand verbs.
 	ChanTransport TransportKind = iota
 	// TCPTransport runs every endpoint on a real loopback TCP socket.
@@ -250,16 +250,6 @@ type Config struct {
 	// zero value enables pooling; PoolingOff reverts to per-operation
 	// allocation, and PoolingDebug arms the leak checker.
 	Pooling PoolingMode
-	// NoTransportRings disables the intra-node per-pair SPSC ring fast
-	// path on the chan transport: co-located ranks fall back to the
-	// channel delivery path. The rings are semantically transparent —
-	// this knob exists for ablation benchmarks and byte-identity tests.
-	NoTransportRings bool
-	// NoSendCoalescing disables send-side small-frame batching on both
-	// transports (ring pend coalescing and the TCP writer's burst
-	// batching). Like NoTransportRings it is an ablation knob; batching
-	// never reorders or drops frames.
-	NoSendCoalescing bool
 	// Elastic permits online grow/shrink reconfiguration: Env.Resize
 	// (and the job service's resize endpoint) change the world size
 	// between loop iterations without restarting the job. Survivors
@@ -421,13 +411,11 @@ func Run(cfg Config, app App) (*Report, error) {
 	}
 	var nw transport.Network
 	opts := transport.Options{
-		DetectDelay:     cfg.DetectDelay,
-		PropDelay:       cfg.PropDelay,
-		MsgDelay:        cfg.NetDelay,
-		Pool:            pool,
-		DisableRings:    cfg.NoTransportRings,
-		DisableCoalesce: cfg.NoSendCoalescing,
-		Endpoints:       cfg.Ranks,
+		DetectDelay: cfg.DetectDelay,
+		PropDelay:   cfg.PropDelay,
+		MsgDelay:    cfg.NetDelay,
+		Pool:        pool,
+		Endpoints:   cfg.Ranks,
 	}
 	if opts.DetectDelay == 0 {
 		opts.DetectDelay = 200 * time.Millisecond // ibverbs-observed default (§VI-A)

@@ -213,11 +213,10 @@ type Config struct {
 	Shadow bool
 	// Node is the id of the node hosting this rank. When Network
 	// implements transport.NodePlacer the proc's endpoints are created
-	// with this placement, which lets the transport route traffic
-	// between co-located ranks over its intra-node fast path (per-pair
-	// SPSC rings on ChanNetwork). The zero value (node 0) is correct
-	// for single-node in-process runs; the runtime scheduler sets real
-	// node ids. Set to -1 to opt out of placement entirely.
+	// with this placement (metadata only: every pair uses the same
+	// link). The zero value (node 0) is correct for single-node
+	// in-process runs; the runtime scheduler sets real node ids. Set to
+	// -1 to opt out of placement entirely.
 	Node    int
 	Network transport.Network
 	Ctl     Control
@@ -518,8 +517,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 }
 
 // newEndpoint creates one transport endpoint for the configured rank,
-// passing node placement through when the network supports it so
-// co-located ranks ride the intra-node fast path.
+// passing node placement through when the network supports it.
 func newEndpoint(cfg *Config) (transport.Endpoint, error) {
 	if np, ok := cfg.Network.(transport.NodePlacer); ok && cfg.Node >= 0 {
 		return np.NewEndpointOnNode(cfg.Node, cfg.KillCh)

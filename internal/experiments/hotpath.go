@@ -14,14 +14,14 @@ import (
 )
 
 // Hot-path allocation benchmark (perf ablation): measures ns/op, B/op
-// and allocs/op for the paths the buffer arena and the transport fast
-// path thread through — the chan-transport send/recv roundtrip (both
-// the channel path and the co-located SPSC ring path), send-side
-// coalescing under load, matcher ingress under multi-sender
-// contention, collective slice packing, and checkpoint capture +
-// encode — with pooling on and off. The headline acceptance numbers
-// are the allocs/op reduction pooling buys on the send and checkpoint
-// paths, and the ns/op the ring path shaves off chan-send.
+// and allocs/op for the paths the buffer arena threads through — the
+// chan-transport send/recv roundtrip over the per-pair ring (unplaced
+// and placed endpoints: one link, so the two rows should agree), a
+// flood that keeps parking on a short ring, matcher ingress under
+// multi-sender contention, collective slice packing, and checkpoint
+// capture + encode — with pooling on and off. The headline acceptance
+// numbers are the allocs/op reduction pooling buys on the send and
+// checkpoint paths.
 
 // HotpathConfig sizes the three benchmarks.
 type HotpathConfig struct {
@@ -87,13 +87,13 @@ func HotpathSweep(cfg HotpathConfig) ([]HotpathPoint, error) {
 		if pooling {
 			pool = bufpool.New()
 		}
-		r, err := benchChanSend(cfg.PayloadBytes, pool)
+		r, err := benchSend(cfg.PayloadBytes, pool, false)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, point("chan-send", pooling, r))
 
-		r, err = benchRingSend(cfg.PayloadBytes, pool)
+		r, err = benchSend(cfg.PayloadBytes, pool, true)
 		if err != nil {
 			return nil, err
 		}
@@ -122,50 +122,23 @@ func HotpathSweep(cfg HotpathConfig) ([]HotpathPoint, error) {
 	return out, nil
 }
 
-// benchChanSend measures one eager send + matched receive + release
-// over the in-process transport, the inner loop of every p2p exchange
-// and collective round.
-func benchChanSend(payload int, pool *bufpool.Arena) (testing.BenchmarkResult, error) {
-	nw := transport.NewChanNetwork(transport.Options{Pool: pool})
-	src, err := nw.NewEndpoint(nil)
-	if err != nil {
-		return testing.BenchmarkResult{}, err
-	}
-	dst, err := nw.NewEndpoint(nil)
-	if err != nil {
-		return testing.BenchmarkResult{}, err
-	}
-	m := transport.NewMatcher(dst)
-	defer func() { m.Close(); dst.Close(); src.Close() }()
-	buf := make([]byte, payload)
-	var benchErr error
-	res := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := src.Send(dst.Addr(), transport.Msg{Src: 0, Tag: 1, Data: buf}); err != nil {
-				benchErr = err
-				return
-			}
-			msg, err := m.Recv(0, 0, 1, nil)
-			if err != nil {
-				benchErr = err
-				return
-			}
-			msg.Release()
-		}
-	})
-	return res, benchErr
-}
-
-// benchRingSend is benchChanSend with both endpoints placed on the
-// same node, so Send takes the per-pair SPSC ring and Recv drains it
-// inline — no demux goroutine hand-off on the critical path.
-func benchRingSend(payload int, pool *bufpool.Arena) (testing.BenchmarkResult, error) {
+// benchSend measures one eager send + matched receive + release over
+// the in-process transport, the inner loop of every p2p exchange and
+// collective round. The receive drains the pair's ring inline — no
+// demux goroutine hand-off on the critical path. placed puts both
+// endpoints on one node (the ring-send row); the link is the same
+// either way.
+func benchSend(payload int, pool *bufpool.Arena, placed bool) (testing.BenchmarkResult, error) {
 	nw := transport.NewChanNetwork(transport.Options{Pool: pool, Endpoints: 2})
-	src, err := nw.NewEndpointOnNode(0, nil)
+	node := -1
+	if placed {
+		node = 0
+	}
+	src, err := nw.NewEndpointOnNode(node, nil)
 	if err != nil {
 		return testing.BenchmarkResult{}, err
 	}
-	dst, err := nw.NewEndpointOnNode(0, nil)
+	dst, err := nw.NewEndpointOnNode(node, nil)
 	if err != nil {
 		return testing.BenchmarkResult{}, err
 	}
@@ -191,10 +164,11 @@ func benchRingSend(payload int, pool *bufpool.Arena) (testing.BenchmarkResult, e
 }
 
 // benchBatchedSend measures per-message cost of a sustained small-frame
-// flood over the ring path. The ring is kept deliberately short so the
-// producer outruns the consumer, the overflow batch coalesces frames,
-// and flushes publish them as multi-message KindBatch frames — the
-// syscall-coalescing shape TCPNetwork sees under load.
+// flood over a deliberately short (16-slot) ring: the producer outruns
+// the consumer and keeps parking on the full ring, so the row prices
+// the block/bell/wake cycle. (The row name predates the removal of
+// send-side batching; it is kept so BENCH_hotpath.json stays
+// comparable across commits.)
 func benchBatchedSend(payload int, pool *bufpool.Arena) (testing.BenchmarkResult, error) {
 	nw := transport.NewChanNetwork(transport.Options{Pool: pool, Endpoints: 2, RingSlots: 16})
 	src, err := nw.NewEndpointOnNode(0, nil)

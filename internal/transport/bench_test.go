@@ -54,78 +54,50 @@ func BenchmarkMatcherIngress(b *testing.B) {
 	}
 }
 
-// BenchmarkRingSendRecv measures the co-located SPSC fast path: both
-// endpoints on one node, sequential send → matched receive → release.
-// The receive pumps the ring inline, so there is no goroutine hand-off.
-func BenchmarkRingSendRecv(b *testing.B) {
-	nw := NewChanNetwork(Options{Pool: bufpool.New(), Endpoints: 2})
-	src, err := nw.NewEndpointOnNode(0, nil)
+// BenchmarkRingFlood measures a sustained producer/consumer flood over
+// the ring, short (the producer keeps parking on a full ring) and
+// default-sized. One op is one 2 KiB message.
+func BenchmarkRingFlood(b *testing.B) {
+	b.Run("slots16", func(b *testing.B) {
+		benchFlood(b, NewChanNetwork(Options{Pool: bufpool.New(), Endpoints: 2, RingSlots: 16}))
+	})
+	b.Run("slots256", func(b *testing.B) {
+		benchFlood(b, NewChanNetwork(Options{Pool: bufpool.New(), Endpoints: 2}))
+	})
+}
+
+// BenchmarkTCPFlood is the same flood over loopback TCP: the regime
+// that sizes tcpBufSize.
+func BenchmarkTCPFlood(b *testing.B) {
+	benchFlood(b, NewTCPNetwork(Options{Pool: bufpool.New()}))
+}
+
+func benchFlood(b *testing.B, nw Network) {
+	src, err := nw.NewEndpoint(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	dst, err := nw.NewEndpointOnNode(0, nil)
+	dst, err := nw.NewEndpoint(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	m := NewMatcher(dst)
 	defer func() { m.Close(); dst.Close(); src.Close() }()
-	payload := make([]byte, 16<<10)
+	payload := make([]byte, 2048)
 
 	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := src.Send(dst.Addr(), Msg{Src: 0, Tag: 1, Data: payload}); err != nil {
-			b.Fatal(err)
+	go func() {
+		for i := 0; i < b.N; i++ {
+			if err := src.Send(dst.Addr(), Msg{Src: 0, Tag: 1, Data: payload}); err != nil {
+				return
+			}
 		}
+	}()
+	for i := 0; i < b.N; i++ {
 		msg, err := m.Recv(0, 0, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		msg.Release()
-	}
-}
-
-// BenchmarkRingFlood measures a sustained producer/consumer flood over
-// a short ring, the regime where send-side coalescing kicks in. One op
-// is one 2 KiB message.
-func BenchmarkRingFlood(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"slots16", Options{Pool: bufpool.New(), Endpoints: 2, RingSlots: 16}},
-		{"slots256", Options{Pool: bufpool.New(), Endpoints: 2}},
-		{"slots16-nocoalesce", Options{Pool: bufpool.New(), Endpoints: 2, RingSlots: 16, DisableCoalesce: true}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			nw := NewChanNetwork(tc.opts)
-			src, err := nw.NewEndpointOnNode(0, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dst, err := nw.NewEndpointOnNode(0, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m := NewMatcher(dst)
-			defer func() { m.Close(); dst.Close(); src.Close() }()
-			payload := make([]byte, 2048)
-
-			b.ResetTimer()
-			go func() {
-				for i := 0; i < b.N; i++ {
-					if err := src.Send(dst.Addr(), Msg{Src: 0, Tag: 1, Data: payload}); err != nil {
-						return
-					}
-				}
-			}()
-			for i := 0; i < b.N; i++ {
-				msg, err := m.Recv(0, 0, 1, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				msg.Release()
-			}
-		})
 	}
 }

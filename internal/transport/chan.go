@@ -3,22 +3,15 @@ package transport
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"fmi/internal/enc"
 )
 
-// ChanNetwork is an in-process Network built on Go channels. It is the
-// default substrate: a stand-in for the InfiniBand data plane with
-// configurable failure-observation delays.
-//
-// Endpoints created with a node id (NewEndpointOnNode) additionally
-// get the intra-node fast path: a lock-free per-(sender, receiver)
-// ring replaces the shared inbox channel for co-located pairs, with
-// send-side coalescing when a ring backs up. Cross-node pairs,
-// unplaced endpoints, and delayed (MsgDelay) networks stay on the
-// channel path.
+// ChanNetwork is an in-process Network. It is the default substrate: a
+// stand-in for the InfiniBand data plane with configurable
+// failure-observation delays. Every (sender, receiver) pair exchanges
+// frames over one lock-free ring owned by the receiver, created on the
+// pair's first send; with MsgDelay > 0 a per-sender delay queue sits
+// in front of the rings as the simulated wire.
 type ChanNetwork struct {
 	opts Options
 
@@ -32,37 +25,33 @@ func NewChanNetwork(opts Options) *ChanNetwork {
 	return &ChanNetwork{opts: opts, eps: make(map[Addr]*chanEndpoint, opts.Endpoints)}
 }
 
-// NewEndpoint creates an unplaced endpoint on the network (node id
-// -1: never on the ring fast path). If die is non-nil, closing it
-// kills the endpoint abruptly.
+// NewEndpoint creates an endpoint on the network. If die is non-nil,
+// closing it kills the endpoint abruptly.
 func (n *ChanNetwork) NewEndpoint(die <-chan struct{}) (Endpoint, error) {
 	return n.NewEndpointOnNode(-1, die)
 }
 
-// NewEndpointOnNode creates an endpoint placed on a node. Pairs of
-// endpoints sharing a node id >= 0 exchange messages over per-pair
-// rings; everything else uses the channel path. n.mu is held for the
-// registration only and released on the single exit path — no early
-// returns sit between Lock and Unlock.
-func (n *ChanNetwork) NewEndpointOnNode(node int, die <-chan struct{}) (Endpoint, error) {
-	ringable := node >= 0 && !n.opts.DisableRings && n.opts.MsgDelay == 0
+// delayQCap bounds the frames one sender has in flight on the
+// simulated wire; a full queue backpressures Send like a full NIC
+// send queue.
+const delayQCap = 4096
 
-	n.mu.Lock()
-	n.nextID++
+// NewEndpointOnNode implements NodePlacer; the node id does not change
+// how the endpoint's pairs are linked.
+func (n *ChanNetwork) NewEndpointOnNode(_ int, die <-chan struct{}) (Endpoint, error) {
 	ep := &chanEndpoint{
 		net:    n,
-		addr:   Addr(fmt.Sprintf("chan-%d", n.nextID)),
-		node:   node,
-		inbox:  make(chan Msg, n.opts.inboxCap()),
 		accept: make(chan Conn, 64),
 		dead:   make(chan struct{}),
 	}
-	if ringable {
-		ep.ringBell = make(chan struct{}, 1)
-	}
+	ep.ingress.init(n.opts.ringSlots(), ep.dead)
 	if n.opts.MsgDelay > 0 {
-		ep.delayQ = make(chan delayedMsg, n.opts.inboxCap())
+		ep.delayQ = make(chan delayedMsg, delayQCap)
 	}
+
+	n.mu.Lock()
+	n.nextID++
+	ep.addr = Addr(fmt.Sprintf("chan-%d", n.nextID))
 	n.eps[ep.addr] = ep
 	n.mu.Unlock()
 
@@ -94,10 +83,10 @@ func (n *ChanNetwork) remove(a Addr) {
 }
 
 type chanEndpoint struct {
+	ingress // the receive side: Bell, Pump, AddWaiter
+
 	net    *ChanNetwork
 	addr   Addr
-	node   int // -1 = unplaced (never on the ring path)
-	inbox  chan Msg
 	accept chan Conn
 	delayQ chan delayedMsg // non-nil iff Options.MsgDelay > 0
 
@@ -106,61 +95,14 @@ type chanEndpoint struct {
 	deadOnce sync.Once
 	dead     chan struct{} // closed on kill/close
 
-	// Ring ingress (receiver side). ringBell wakes the matcher's demux
-	// for traffic that arrives while a receiver is parked: producers
-	// tap it only when ringWait says someone is waiting (an active
-	// receiver pumps its own rings inline, so waking the demux for it
-	// would just buy lock contention). ringPend counts queued items
-	// (ring slots + overflow-batch entries) across all inbound rings
-	// so an empty pump is one atomic load; drainMu serialises pumps
-	// (two concurrent drains of one ring would reorder its pair).
-	ringBell chan struct{} // nil when the endpoint can never have rings
-	ringPend atomic.Int64
-	ringWait atomic.Int32 // receivers parked (or about to park) on a match
-	drainMu  sync.Mutex
-	ringMu   sync.Mutex
-	ringIn   []*ringPath          // creation order; pumped in this order
-	ringInP  atomic.Pointer[[]*ringPath] // published snapshot of ringIn for lock-free pumps
-	ringSrc  map[Addr]*ringPath   // sender addr -> its inbound ring
-
-	// Sender-side route cache: destination addr -> *ringPath, with a
-	// typed-nil entry meaning "resolved: channel path". Addresses are
-	// never reused, so entries cannot go stale into wrongness.
-	ringOut sync.Map
+	// routes caches destination addr -> *ring (this sender's ring on
+	// that endpoint) so the hot path is one sync.Map load. Addresses
+	// are never reused, so entries cannot go stale into wrongness: a
+	// dead destination's ring stays poisoned.
+	routes sync.Map
 }
-
-// ringPath is one sender's fast path to one co-located receiver: the
-// ring plus the overflow coalescing batch. pend holds frames that
-// arrived while the ring was full; they are strictly newer than
-// anything in the ring (a send always tries to flush pend into the
-// ring before enqueueing), which is what lets the consumer drain the
-// ring first and then steal pend without reordering the pair.
-type ringPath struct {
-	rb  *ring
-	dst *chanEndpoint
-
-	mu        sync.Mutex
-	pend      []Msg
-	pendBytes int // encoded batch-part bytes of pend
-	poisoned  bool
-
-	// pendN mirrors len(pend) (maintained under mu, read without it):
-	// a producer that sees 0 may enqueue straight onto the ring without
-	// taking mu — there is nothing older to flush first. Seeing a stale
-	// non-zero only costs the slow path.
-	pendN atomic.Int32
-}
-
-// Coalescing bounds: only frames this small are batched, and a batch
-// flushes (or the sender blocks) once it holds this many encoded
-// bytes.
-const (
-	ringBatchMaxEach  = 4 << 10
-	ringBatchMaxBytes = 64 << 10
-)
 
 func (ep *chanEndpoint) Addr() Addr          { return ep.addr }
-func (ep *chanEndpoint) Recv() <-chan Msg    { return ep.inbox }
 func (ep *chanEndpoint) Accept() <-chan Conn { return ep.accept }
 
 func (ep *chanEndpoint) isDead() bool {
@@ -173,8 +115,8 @@ func (ep *chanEndpoint) isDead() bool {
 }
 
 // Send delivers m to 'to'. Messages to dead or unknown endpoints are
-// dropped silently (PSM semantics); a full destination inbox (or
-// ring) blocks until space, destination death, or sender death.
+// dropped silently (PSM semantics); a full ring blocks until space,
+// destination death, or sender death.
 //
 // MPI eager-send semantics: the caller may reuse its buffer as soon as
 // Send returns, so the payload is copied here (on a real interconnect
@@ -183,11 +125,8 @@ func (ep *chanEndpoint) Send(to Addr, m Msg) error {
 	if ep.isDead() {
 		return ErrClosed
 	}
-	if rp := ep.ringTo(to); rp != nil {
-		return ep.ringSend(rp, m)
-	}
-	dst := ep.net.lookup(to)
-	if dst == nil || dst.isDead() {
+	r := ep.route(to)
+	if r == nil {
 		return nil // silent drop
 	}
 	if len(m.Data) > 0 {
@@ -202,316 +141,47 @@ func (ep *chanEndpoint) Send(to Addr, m Msg) error {
 		// FIFO is preserved and a burst of sends pipelines (all arrive
 		// ~MsgDelay later) instead of serialising.
 		select {
-		case ep.delayQ <- delayedMsg{dst: dst, m: m, due: time.Now().Add(ep.net.opts.MsgDelay)}:
+		case ep.delayQ <- delayedMsg{r: r, m: m, due: time.Now().Add(ep.net.opts.MsgDelay)}:
 			return nil
 		case <-ep.dead:
 			m.Release()
 			return ErrClosed
 		}
 	}
-	return ep.deliver(dst, m)
+	if !r.publish(m, ep.dead) && ep.isDead() {
+		return ErrClosed
+	}
+	return nil
 }
 
-// ringTo resolves the ring path for sends to 'to'; nil means use the
-// channel path. The verdict is cached per destination so the hot path
-// is one sync.Map load. An unknown destination is not cached (it may
-// simply not have registered yet); a cross-node one is.
-func (ep *chanEndpoint) ringTo(to Addr) *ringPath {
-	if ep.ringBell == nil {
-		return nil
-	}
-	if v, ok := ep.ringOut.Load(to); ok {
-		return v.(*ringPath)
+// route resolves this sender's ring on the endpoint at 'to'; nil means
+// drop. An unknown destination is not cached (it may simply not have
+// registered yet).
+func (ep *chanEndpoint) route(to Addr) *ring {
+	if v, ok := ep.routes.Load(to); ok {
+		return v.(*ring)
 	}
 	dst := ep.net.lookup(to)
 	if dst == nil {
 		return nil
 	}
-	if dst.node != ep.node || dst.ringBell == nil {
-		ep.ringOut.Store(to, (*ringPath)(nil))
-		return nil
+	r := dst.ringFor(ep.addr)
+	if r == nil {
+		return nil // dst is dying
 	}
-	rp := dst.inRing(ep.addr)
-	if rp == nil {
-		return nil // dst died during setup; next send re-resolves
-	}
-	actual, _ := ep.ringOut.LoadOrStore(to, rp)
-	return actual.(*ringPath)
-}
-
-// inRing returns (creating on first use) the inbound ring for frames
-// from src. Receiver-side registration keyed by sender address makes
-// the pair's ring unique even if two of the sender's goroutines race
-// the first send.
-func (ep *chanEndpoint) inRing(src Addr) *ringPath {
-	ep.ringMu.Lock()
-	defer ep.ringMu.Unlock()
-	if ep.isDead() {
-		return nil
-	}
-	if rp, ok := ep.ringSrc[src]; ok {
-		return rp
-	}
-	if ep.ringSrc == nil {
-		ep.ringSrc = make(map[Addr]*ringPath)
-	}
-	rp := &ringPath{rb: newRing(ep.net.opts.ringSlots()), dst: ep}
-	ep.ringSrc[src] = rp
-	ep.ringIn = append(ep.ringIn, rp)
-	// Publish the grown path list for lock-free pumps. A pump holding
-	// the previous snapshot misses only this just-created (still empty)
-	// ring; its first publish raises ringPend, which keeps pumps coming
-	// until one holds a snapshot that includes it.
-	snap := ep.ringIn
-	ep.ringInP.Store(&snap)
-	return rp
-}
-
-// ringSend publishes m on the pair's ring, coalescing into the
-// overflow batch when the ring is full. rp.mu serialises the slow
-// path's producers on the pair; the fast path below rides on the
-// ring's own slot CAS and poison re-check instead.
-func (ep *chanEndpoint) ringSend(rp *ringPath, m Msg) error {
-	if len(m.Data) > 0 {
-		cp := ep.net.opts.Pool.Get(len(m.Data))
-		copy(cp, m.Data)
-		m.Data = cp
-		m.pool = ep.net.opts.Pool
-	}
-	dst := rp.dst
-	// Fast path: no overflow batch queued ahead of us, ring has room.
-	// enqueue is safe without rp.mu — slots are claimed by CAS, and a
-	// poison racing the publish makes the producer self-drain — and
-	// per-pair FIFO holds because a non-empty pend forces the slow
-	// path, which flushes pend into the ring first.
-	if rp.pendN.Load() == 0 && rp.rb.enqueue(m) {
-		dst.ringPend.Add(1)
-		dst.wakeWaiter()
-		return nil
-	}
-	coalesce := !ep.net.opts.DisableCoalesce
-	for {
-		rp.mu.Lock()
-		if rp.poisoned {
-			rp.mu.Unlock()
-			m.Release()
-			return nil // silent drop: peer dead
-		}
-		// FIFO: anything coalesced earlier must reach the ring first.
-		if rp.flushLocked() && rp.rb.enqueue(m) {
-			dst.ringPend.Add(1)
-			rp.mu.Unlock()
-			dst.wakeWaiter()
-			return nil
-		}
-		// Ring backed up: batch small frames instead of blocking.
-		if coalesce && len(m.Data) <= ringBatchMaxEach && rp.pendBytes < ringBatchMaxBytes {
-			rp.pend = append(rp.pend, m)
-			rp.pendBytes += batchFrameLen(&m)
-			rp.pendN.Store(int32(len(rp.pend)))
-			dst.ringPend.Add(1)
-			rp.mu.Unlock()
-			dst.wakeWaiter()
-			return nil
-		}
-		rp.mu.Unlock()
-		select {
-		case <-rp.rb.space:
-		case <-dst.dead:
-			m.Release()
-			return nil
-		case <-ep.dead:
-			m.Release()
-			return ErrClosed
-		}
-	}
-}
-
-// flushLocked moves the overflow batch into the ring as one KindBatch
-// frame (or directly, for a lone frame). Caller holds rp.mu. Returns
-// false when the ring still has no room; pend is untouched then.
-func (rp *ringPath) flushLocked() bool {
-	if len(rp.pend) == 0 {
-		return true
-	}
-	if !rp.rb.hasSpace() {
-		return false
-	}
-	if len(rp.pend) == 1 {
-		if !rp.rb.enqueue(rp.pend[0]) {
-			return false
-		}
-		// One pend entry became one ring slot: ringPend unchanged.
-	} else {
-		pool := rp.dst.net.opts.Pool
-		buf := pool.Get(enc.BatchHeaderLen + rp.pendBytes)
-		buf = enc.AppendBatchHeader(buf[:0], len(rp.pend))
-		for i := range rp.pend {
-			buf = appendBatchFrame(buf, &rp.pend[i])
-		}
-		if !rp.rb.enqueue(Msg{Kind: KindBatch, Data: buf, pool: pool}) {
-			pool.Put(buf)
-			return false
-		}
-		for i := range rp.pend {
-			rp.pend[i].Release()
-		}
-		rp.dst.ringPend.Add(1 - int64(len(rp.pend)))
-	}
-	for i := range rp.pend {
-		rp.pend[i] = Msg{}
-	}
-	rp.pend = rp.pend[:0]
-	rp.pendBytes = 0
-	rp.pendN.Store(0)
-	return true
-}
-
-// tapBell wakes the ring consumer (the matcher's demux watches it for
-// traffic arriving while every receiver is parked). Non-blocking.
-func (ep *chanEndpoint) tapBell() {
-	select {
-	case ep.ringBell <- struct{}{}:
-	default:
-	}
-}
-
-// wakeWaiter taps the bell only when a receiver is parked (or about to
-// park) on a match. An active receiver pumps its rings inline on every
-// receive call, so an unconditional tap would wake the demux once per
-// message just to contend for locks. The handshake is Dekker-style:
-// the receiver increments ringWait and then pumps once more before
-// parking, so a producer that reads ringWait == 0 published its frame
-// where that final pump must see it.
-func (ep *chanEndpoint) wakeWaiter() {
-	if ep.ringWait.Load() != 0 {
-		ep.tapBell()
-	}
-}
-
-// AddRingWaiter implements RingIngress: the matcher brackets every
-// blocking wait with +1/-1 so producers know whether a bell tap is
-// needed. The caller must pump after incrementing and before parking.
-func (ep *chanEndpoint) AddRingWaiter(delta int32) {
-	ep.ringWait.Add(delta)
-}
-
-// RingBell implements RingIngress; nil for unplaced endpoints.
-func (ep *chanEndpoint) RingBell() <-chan struct{} {
-	if ep.ringBell == nil {
-		return nil
-	}
-	return ep.ringBell
-}
-
-// PumpRings drains every inbound ring into fn in per-pair FIFO order:
-// for each pair, the ring first, then the stolen overflow batch
-// (strictly newer than the ring's contents). Returns false when
-// another pump holds the drain — that pump delivers the frames.
-func (ep *chanEndpoint) PumpRings(fn func(Msg)) bool {
-	if ep.ringPend.Load() == 0 {
-		return true
-	}
-	if !ep.drainMu.TryLock() {
-		return false
-	}
-	snap := ep.ringInP.Load()
-	if snap == nil {
-		ep.drainMu.Unlock()
-		return true
-	}
-	for _, rp := range *snap {
-		if n := rp.rb.drain(fn); n > 0 {
-			ep.ringPend.Add(-int64(n))
-			rp.rb.signalSpace()
-		}
-		if rp.pendN.Load() == 0 {
-			continue
-		}
-		rp.mu.Lock()
-		stolen := rp.pend
-		rp.pend = nil
-		rp.pendBytes = 0
-		rp.pendN.Store(0)
-		rp.mu.Unlock()
-		if len(stolen) > 0 {
-			ep.ringPend.Add(-int64(len(stolen)))
-			for _, m := range stolen {
-				fn(m)
-			}
-		}
-	}
-	ep.drainMu.Unlock()
-	return true
-}
-
-// FlushBarrier implements Flusher: it pushes every destination's
-// pending overflow batch into its ring so an epoch fence never
-// strands coalesced frames behind the fence. Bounded by a short
-// timeout — a wedged receiver cannot stall the fence (its ring
-// contents are about to be stale-dropped anyway).
-func (ep *chanEndpoint) FlushBarrier() {
-	if ep.ringBell == nil {
-		return
-	}
-	deadline := time.Now().Add(100 * time.Millisecond)
-	ep.ringOut.Range(func(_, v any) bool {
-		rp := v.(*ringPath)
-		if rp == nil {
-			return true
-		}
-		for {
-			rp.mu.Lock()
-			done := rp.poisoned || rp.flushLocked()
-			rp.mu.Unlock()
-			if done {
-				rp.dst.tapBell()
-				return true
-			}
-			if time.Now().After(deadline) {
-				return false
-			}
-			select {
-			case <-rp.rb.space:
-			case <-rp.dst.dead:
-				return true
-			case <-ep.dead:
-				return false
-			case <-time.After(time.Millisecond):
-			}
-		}
-	})
-}
-
-// deliver pushes m into dst's inbox, blocking only when it is full.
-func (ep *chanEndpoint) deliver(dst *chanEndpoint, m Msg) error {
-	select {
-	case dst.inbox <- m:
-		return nil
-	default:
-	}
-	// Inbox full: block, but wake on either side dying.
-	select {
-	case dst.inbox <- m:
-		return nil
-	case <-dst.dead:
-		m.Release() // peer died; drop and recycle the frame copy
-		return nil
-	case <-ep.dead:
-		m.Release()
-		return ErrClosed
-	}
+	ep.routes.Store(to, r)
+	return r
 }
 
 // delayedMsg is one in-flight message waiting out the simulated wire
 // latency.
 type delayedMsg struct {
-	dst *chanEndpoint
+	r   *ring
 	m   Msg
 	due time.Time
 }
 
-// delayLoop delivers queued messages once their latency has elapsed.
+// delayLoop publishes queued messages once their latency has elapsed.
 // Deadlines are monotone in queue order (every message waits the same
 // MsgDelay), so waiting on the head never delays a message behind it.
 func (ep *chanEndpoint) delayLoop() {
@@ -536,7 +206,7 @@ func (ep *chanEndpoint) delayLoop() {
 					return
 				}
 			}
-			ep.deliver(dm.dst, dm.m)
+			dm.r.publish(dm.m, ep.dead)
 		case <-ep.dead:
 			ep.drainDelayQ()
 			return
@@ -616,39 +286,12 @@ func (ep *chanEndpoint) shutdown(remoteDelay time.Duration) {
 		ep.conns = nil
 		ep.mu.Unlock()
 		ep.net.remove(ep.addr)
-		ep.poisonRings()
+		ep.ingress.teardown()
 		for _, c := range conns {
 			c.fire(0)                // local side sees it immediately
 			c.peer.fire(remoteDelay) // remote observes after delay
 		}
 	})
-}
-
-// poisonRings tears down the inbound rings on death: pending overflow
-// batches are recycled under each path's lock (stopping producers from
-// appending more), then each ring is poisoned and drained. In-flight
-// producers that published concurrently re-check the poison flag and
-// self-drain, so no pooled payload is stranded in a dead ring.
-func (ep *chanEndpoint) poisonRings() {
-	ep.ringMu.Lock()
-	paths := ep.ringIn
-	ep.ringIn = nil
-	ep.ringSrc = nil
-	ep.ringInP.Store(nil)
-	ep.ringMu.Unlock()
-	for _, rp := range paths {
-		rp.mu.Lock()
-		rp.poisoned = true
-		for i := range rp.pend {
-			rp.pend[i].Release()
-			rp.pend[i] = Msg{}
-		}
-		rp.pend = nil
-		rp.pendBytes = 0
-		rp.pendN.Store(0)
-		rp.mu.Unlock()
-		rp.rb.poison()
-	}
 }
 
 // chanConnEnd is one side of a monitored connection.

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-
-	"fmi/internal/enc"
 )
 
 // Matching wildcards.
@@ -43,10 +41,10 @@ const maxLaneSrc = 1 << 16
 // wildcard matching deterministic — the lowest-ranked source with a
 // matching message wins, not whichever lane a map walk visits first.
 //
-// When the endpoint exposes per-pair rings (RingIngress), the Matcher
-// is their consumer: every receive call pumps the rings inline before
-// looking at its lane, and the demux goroutine watches the ring bell
-// for traffic arriving while all receivers are parked.
+// The Matcher is the consumer of its endpoint's per-source rings:
+// every receive call pumps them inline before looking at its lane, and
+// the demux goroutine answers the endpoint's bell for traffic that
+// arrives while all receivers are parked or that backs a ring up.
 //
 // The Matcher also enforces the paper's epoch rule (§IV-D): messages
 // from an older epoch than the current one are discarded silently;
@@ -59,13 +57,11 @@ const maxLaneSrc = 1 << 16
 // copy from a replaying sender or a re-executed send from a respawned
 // rank — and is counted and discarded.
 type Matcher struct {
-	ep   Endpoint
-	ri   RingIngress   // non-nil iff ep has ring ingress
+	ep Endpoint
 	// ingestFn is m.ingest bound once: passing a fresh method value
-	// to PumpRings would allocate a 16-byte closure per pump, and the
-	// pump sits on the ring receive fast path.
+	// to Pump would allocate a 16-byte closure per pump, and the pump
+	// sits on the receive fast path.
 	ingestFn func(Msg)
-	bell <-chan struct{}
 
 	// growMu orders lane-table growth and the AnySource lock-all
 	// path; lanes is the atomically-published table so the per-source
@@ -149,11 +145,10 @@ type LaneCounters struct {
 }
 
 type recvReq struct {
-	ctx       uint32
-	src, tag  int32
-	seq       uint64 // posting ticket: earliest posted matches first
-	reply     chan Msg
-	cancelled bool
+	ctx      uint32
+	src, tag int32
+	seq      uint64 // posting ticket: earliest posted matches first
+	reply    chan Msg
 }
 
 // NewMatcher creates a matcher over ep and starts its demux goroutine.
@@ -161,62 +156,33 @@ func NewMatcher(ep Endpoint) *Matcher {
 	m := &Matcher{ep: ep, closeCh: make(chan struct{})}
 	m.ingestFn = m.ingest
 	m.lanes.Store(&laneTable{misc: &lane{}})
-	if ri, ok := ep.(RingIngress); ok {
-		if bell := ri.RingBell(); bell != nil {
-			m.ri = ri
-			m.bell = bell
-		}
-	}
 	go m.demux()
 	return m
 }
 
+// demux answers the endpoint's bell. A pump that reports the endpoint
+// dead closes the matcher: that is the one signal, on either network,
+// by which blocked receives learn their endpoint is gone.
 func (m *Matcher) demux() {
+	bell := m.ep.Bell()
 	for {
 		select {
-		case msg, ok := <-m.ep.Recv():
-			if !ok {
+		case <-bell:
+			if !m.pump() {
 				m.Close()
 				return
 			}
-			m.ingest(msg)
-		case <-m.bell:
-			m.pump()
 		case <-m.closeCh:
 			return
 		}
 	}
 }
 
-// pump drains the endpoint's inbound rings (if any) through ingest.
-// Called inline at every receive entry point — the receiver's own
-// call context consumes its rings, so the fast path needs no
-// goroutine hand-off — and from demux on the ring bell for traffic
-// that arrives while every receiver is parked.
-func (m *Matcher) pump() {
-	if m.ri != nil {
-		m.ri.PumpRings(m.ingestFn)
-	}
-}
-
-// parkEnter brackets a blocking wait: producers only tap the ring
-// bell while a waiter is registered, so the waiter count must be
-// raised before parking and — Dekker-style — the rings pumped once
-// more afterwards. A frame published by a producer that read the
-// count as zero is then either seen by this pump or by the producer's
-// bell tap; either way it cannot strand while we sleep.
-func (m *Matcher) parkEnter() {
-	if m.ri != nil {
-		m.ri.AddRingWaiter(1)
-		m.ri.PumpRings(m.ingestFn)
-	}
-}
-
-func (m *Matcher) parkExit() {
-	if m.ri != nil {
-		m.ri.AddRingWaiter(-1)
-	}
-}
+// pump drains the endpoint's rings through ingest. Called inline at
+// every receive entry point — the receiver's own call context consumes
+// its rings, so the fast path needs no goroutine hand-off — and from
+// demux on the bell.
+func (m *Matcher) pump() bool { return m.ep.Pump(m.ingestFn) }
 
 // laneFor routes a source rank to its lane, growing the table on
 // first contact with a new source.
@@ -272,13 +238,9 @@ func (m *Matcher) unlockAll(t *laneTable) {
 	m.growMu.Unlock()
 }
 
-// ingest files one inbound frame: batches are unpacked, then the
-// frame passes the epoch gate and lands in its source's lane.
+// ingest files one inbound frame: it passes the epoch gate and lands
+// in its source's lane.
 func (m *Matcher) ingest(msg Msg) {
-	if msg.Kind == KindBatch {
-		m.unbatch(msg)
-		return
-	}
 	if m.closed.Load() {
 		msg.Release()
 		return
@@ -299,26 +261,6 @@ func (m *Matcher) ingest(msg Msg) {
 	}
 	m.matchOrQueueLane(ln, msg)
 	ln.mu.Unlock()
-}
-
-// unbatch unpacks a coalesced KindBatch frame and ingests each inner
-// frame — before any filtering, so epoch/view/dedup decisions apply
-// to the real frames, never the container. A malformed batch is
-// dropped whole.
-func (m *Matcher) unbatch(b Msg) {
-	parts, err := enc.UnpackBatch(b.Data)
-	if err != nil {
-		b.Release()
-		return
-	}
-	for _, p := range parts {
-		sub, err := decodeFrameBytes(p, b.pool)
-		if err != nil {
-			continue
-		}
-		m.ingest(sub)
-	}
-	b.Release()
 }
 
 // matchOrQueueLane applies view filtering and duplicate suppression,
@@ -348,28 +290,16 @@ func (m *Matcher) matchOrQueueLane(ln *lane, msg Msg) {
 		}
 		ln.seen = msg.Seq
 	}
-	li := -1
-	for i, req := range ln.pending {
-		if !req.cancelled && reqMatches(req, msg) {
-			li = i
-			break
-		}
-	}
+	li := firstMatch(ln.pending, msg)
 	if m.anyN.Load() > 0 {
 		m.anyMu.Lock()
-		ai := -1
-		for i, req := range m.anyPend {
-			if !req.cancelled && reqMatches(req, msg) {
-				ai = i
-				break
-			}
-		}
+		ai := firstMatch(m.anyPend, msg)
 		if ai >= 0 && (li < 0 || m.anyPend[ai].seq < ln.pending[li].seq) {
 			req := m.anyPend[ai]
 			m.anyPend = append(m.anyPend[:ai], m.anyPend[ai+1:]...)
 			m.anyN.Add(-1)
 			ln.delivered++
-			//fmilint:ignore lockheld reply has capacity 1 and a req removed from its queue gets exactly one send; holding anyMu here is what lets Await's cancel path prefer the message
+			//fmilint:ignore lockheld reply has capacity 1 and a req removed from its queue gets exactly one send; holding anyMu here is what lets wait's cancel path prefer the message
 			req.reply <- msg
 			m.anyMu.Unlock()
 			return
@@ -384,6 +314,17 @@ func (m *Matcher) matchOrQueueLane(ln *lane, msg Msg) {
 		return
 	}
 	ln.pushUnx(msg)
+}
+
+// firstMatch returns the index of the earliest-posted receive in q
+// that msg satisfies, or -1.
+func firstMatch(q []*recvReq, msg Msg) int {
+	for i, req := range q {
+		if reqMatches(req, msg) {
+			return i
+		}
+	}
+	return -1
 }
 
 func reqMatches(req *recvReq, msg Msg) bool {
@@ -429,225 +370,153 @@ func takeAnyLocked(t *laneTable, probe *recvReq) (Msg, bool) {
 	return takeLane(t.misc, probe)
 }
 
+// reqPool recycles posted-receive records and their one-slot reply
+// channels, so a receive that has to park performs no allocation. A
+// record is recycled only once it is provably unreferenced: matched
+// (removed from its queue by ingress) or cancelled (removed by wait
+// under the lock, reply drained). The close path leaks its record to
+// the GC instead: AdvanceEpoch does not check closed, so a recycled
+// record could otherwise receive a stray late message.
+var reqPool = sync.Pool{New: func() any { return &recvReq{reply: make(chan Msg, 1)} }}
+
+// post takes the earliest unexpected message matching (ctx, src, tag)
+// or, when there is none, registers a receive for it; matching order
+// follows posting order. On success exactly one of the message and the
+// request is set (req == nil means msg is the match). An AnySource
+// post takes the slow path: all lanes locked in rank order, so the
+// scan and the registration are one atomic step.
+func (m *Matcher) post(ctx uint32, src, tag int32) (msg Msg, req *recvReq, err error) {
+	m.pump()
+	probe := recvReq{ctx: ctx, src: src, tag: tag}
+	var ln *lane
+	var t *laneTable
+	var ok bool
+	if src == AnySource {
+		t = m.lockAll()
+		defer m.unlockAll(t)
+	} else {
+		ln = m.laneFor(src)
+		ln.mu.Lock()
+		defer ln.mu.Unlock()
+	}
+	if m.closed.Load() {
+		return Msg{}, nil, ErrMatcherClosed
+	}
+	if ln != nil {
+		msg, ok = takeLane(ln, &probe)
+	} else {
+		msg, ok = takeAnyLocked(t, &probe)
+	}
+	if ok {
+		return msg, nil, nil
+	}
+	req = reqPool.Get().(*recvReq)
+	req.ctx, req.src, req.tag = ctx, src, tag
+	req.seq = m.postSeq.Add(1)
+	if ln != nil {
+		ln.pending = append(ln.pending, req)
+	} else {
+		m.anyMu.Lock()
+		m.anyPend = append(m.anyPend, req)
+		m.anyN.Add(1)
+		m.anyMu.Unlock()
+	}
+	return Msg{}, req, nil
+}
+
+// wait parks until the posted receive matches, cancel fires, or the
+// matcher closes, and ends req's life. Producers tap the bell per frame
+// only while a waiter is registered, so the waiter count is raised
+// before parking and — Dekker-style — the rings pumped once more
+// afterwards: a frame published by a producer that read the count as
+// zero is then either seen by this pump or announced by the producer's
+// bell tap; either way it cannot strand while we sleep.
+func (m *Matcher) wait(req *recvReq, cancel <-chan struct{}) (Msg, error) {
+	m.ep.AddWaiter(1)
+	defer m.ep.AddWaiter(-1)
+	m.pump()
+	select {
+	case msg := <-req.reply:
+		reqPool.Put(req)
+		return msg, nil
+	case <-m.closeCh:
+		return Msg{}, ErrMatcherClosed
+	case <-cancel:
+	}
+	// Withdraw req under the lock ingress matches under: once it is
+	// off its queue nothing can send to reply, so a match that raced
+	// the cancel is already there — prefer the message.
+	if req.src == AnySource {
+		m.anyMu.Lock()
+		var removed bool
+		if m.anyPend, removed = removeReq(m.anyPend, req); removed {
+			m.anyN.Add(-1)
+		}
+		m.anyMu.Unlock()
+	} else {
+		ln := m.laneFor(req.src)
+		ln.mu.Lock()
+		ln.pending, _ = removeReq(ln.pending, req)
+		ln.mu.Unlock()
+	}
+	defer reqPool.Put(req)
+	select {
+	case msg := <-req.reply:
+		return msg, nil
+	default:
+		return Msg{}, ErrCancelled
+	}
+}
+
+func removeReq(q []*recvReq, req *recvReq) ([]*recvReq, bool) {
+	for i, r := range q {
+		if r == req {
+			return append(q[:i], q[i+1:]...), true
+		}
+	}
+	return q, false
+}
+
 // Pending is a posted receive awaiting its match. MPI semantics:
 // receives match arriving messages in the order they were *posted*, so
 // nonblocking receives must post synchronously (PostRecv) and may
 // await later.
 type Pending struct {
 	m       *Matcher
-	req     *recvReq
+	req     *recvReq // nil when the post matched at once
 	matched Msg
-	done    bool
 }
 
 // PostRecv registers a receive for (ctx, src, tag); matching order
-// follows posting order. The returned Pending must be Awaited.
+// follows posting order. src may be AnySource and tag may be AnyTag.
+// The returned Pending must be Awaited, once.
 func (m *Matcher) PostRecv(ctx uint32, src, tag int32) (*Pending, error) {
-	m.pump()
-	probe := recvReq{ctx: ctx, src: src, tag: tag}
-	if src == AnySource {
-		t := m.lockAll()
-		if m.closed.Load() {
-			m.unlockAll(t)
-			return nil, ErrMatcherClosed
-		}
-		if msg, ok := takeAnyLocked(t, &probe); ok {
-			m.unlockAll(t)
-			return &Pending{m: m, matched: msg, done: true}, nil
-		}
-		req := &recvReq{ctx: ctx, src: src, tag: tag, reply: make(chan Msg, 1), seq: m.postSeq.Add(1)}
-		m.anyMu.Lock()
-		m.anyPend = append(m.anyPend, req)
-		m.anyN.Add(1)
-		m.anyMu.Unlock()
-		m.unlockAll(t)
-		return &Pending{m: m, req: req}, nil
+	msg, req, err := m.post(ctx, src, tag)
+	if err != nil {
+		return nil, err
 	}
-	ln := m.laneFor(src)
-	ln.mu.Lock()
-	if m.closed.Load() {
-		ln.mu.Unlock()
-		return nil, ErrMatcherClosed
-	}
-	if msg, ok := takeLane(ln, &probe); ok {
-		ln.mu.Unlock()
-		return &Pending{m: m, matched: msg, done: true}, nil
-	}
-	req := &recvReq{ctx: ctx, src: src, tag: tag, reply: make(chan Msg, 1), seq: m.postSeq.Add(1)}
-	ln.pending = append(ln.pending, req)
-	ln.mu.Unlock()
-	return &Pending{m: m, req: req}, nil
+	return &Pending{m: m, req: req, matched: msg}, nil
 }
 
 // Await blocks until the posted receive matches, the cancel channel
 // fires, or the matcher closes.
 func (p *Pending) Await(cancel <-chan struct{}) (Msg, error) {
-	if p.done {
+	if p.req == nil {
 		return p.matched, nil
 	}
-	m := p.m
-	m.parkEnter()
-	defer m.parkExit()
-	select {
-	case msg := <-p.req.reply:
-		return msg, nil
-	case <-cancel:
-		if p.req.src == AnySource {
-			m.anyMu.Lock()
-			for i, r := range m.anyPend {
-				if r == p.req {
-					m.anyPend = append(m.anyPend[:i], m.anyPend[i+1:]...)
-					m.anyN.Add(-1)
-					break
-				}
-			}
-			p.req.cancelled = true
-			// Ingress may have matched concurrently (it sends while
-			// holding anyMu); prefer the message.
-			select {
-			case msg := <-p.req.reply:
-				m.anyMu.Unlock()
-				return msg, nil
-			default:
-			}
-			m.anyMu.Unlock()
-			return Msg{}, ErrCancelled
-		}
-		ln := m.laneFor(p.req.src)
-		ln.mu.Lock()
-		p.req.cancelled = true
-		// Ingress sends under the lane lock we now hold; prefer the
-		// message.
-		select {
-		case msg := <-p.req.reply:
-			ln.mu.Unlock()
-			return msg, nil
-		default:
-		}
-		ln.mu.Unlock()
-		return Msg{}, ErrCancelled
-	case <-m.closeCh:
-		return Msg{}, ErrMatcherClosed
-	}
+	return p.m.wait(p.req, cancel)
 }
-
-// reqPool recycles posted-receive records — and their one-slot reply
-// channels — for the blocking Recv fast path. A record is recycled
-// only once it is provably unreferenced: matched (removed from its
-// queue by ingress) or cancelled (removed here under the lock, reply
-// drained). The close path leaks its record to the GC instead:
-// AdvanceEpoch does not check closed, so a recycled record could
-// otherwise receive a stray late message.
-var reqPool = sync.Pool{New: func() any { return &recvReq{reply: make(chan Msg, 1)} }}
 
 // Recv blocks until a message matching (ctx, src, tag) arrives, the
 // cancel channel fires, or the matcher closes. src may be AnySource
-// and tag may be AnyTag. This is the runtime's innermost receive: it
-// bypasses the Pending wrapper and reuses request records, so a
+// and tag may be AnyTag. This is the runtime's innermost receive: a
 // matched receive performs no allocation.
 func (m *Matcher) Recv(ctx uint32, src, tag int32, cancel <-chan struct{}) (Msg, error) {
-	m.pump()
-	if src == AnySource {
-		return m.recvAny(ctx, tag, cancel)
+	msg, req, err := m.post(ctx, src, tag)
+	if req == nil {
+		return msg, err
 	}
-	ln := m.laneFor(src)
-	ln.mu.Lock()
-	if m.closed.Load() {
-		ln.mu.Unlock()
-		return Msg{}, ErrMatcherClosed
-	}
-	probe := recvReq{ctx: ctx, src: src, tag: tag}
-	if msg, ok := takeLane(ln, &probe); ok {
-		ln.mu.Unlock()
-		return msg, nil
-	}
-	req := reqPool.Get().(*recvReq)
-	req.ctx, req.src, req.tag, req.cancelled = ctx, src, tag, false
-	req.seq = m.postSeq.Add(1)
-	ln.pending = append(ln.pending, req)
-	ln.mu.Unlock()
-
-	m.parkEnter()
-	defer m.parkExit()
-	select {
-	case msg := <-req.reply:
-		reqPool.Put(req)
-		return msg, nil
-	case <-cancel:
-		ln.mu.Lock()
-		for i, r := range ln.pending {
-			if r == req {
-				ln.pending = append(ln.pending[:i], ln.pending[i+1:]...)
-				break
-			}
-		}
-		// Ingress may have matched concurrently (it sends under the
-		// lane lock we now hold); prefer the message.
-		select {
-		case msg := <-req.reply:
-			ln.mu.Unlock()
-			reqPool.Put(req)
-			return msg, nil
-		default:
-		}
-		ln.mu.Unlock()
-		reqPool.Put(req)
-		return Msg{}, ErrCancelled
-	case <-m.closeCh:
-		return Msg{}, ErrMatcherClosed
-	}
-}
-
-// recvAny is Recv's AnySource slow path: all lanes locked in rank
-// order for the scan-or-post step.
-func (m *Matcher) recvAny(ctx uint32, tag int32, cancel <-chan struct{}) (Msg, error) {
-	t := m.lockAll()
-	if m.closed.Load() {
-		m.unlockAll(t)
-		return Msg{}, ErrMatcherClosed
-	}
-	probe := recvReq{ctx: ctx, src: AnySource, tag: tag}
-	if msg, ok := takeAnyLocked(t, &probe); ok {
-		m.unlockAll(t)
-		return msg, nil
-	}
-	req := reqPool.Get().(*recvReq)
-	req.ctx, req.src, req.tag, req.cancelled = ctx, AnySource, tag, false
-	req.seq = m.postSeq.Add(1)
-	m.anyMu.Lock()
-	m.anyPend = append(m.anyPend, req)
-	m.anyN.Add(1)
-	m.anyMu.Unlock()
-	m.unlockAll(t)
-
-	m.parkEnter()
-	defer m.parkExit()
-	select {
-	case msg := <-req.reply:
-		reqPool.Put(req)
-		return msg, nil
-	case <-cancel:
-		m.anyMu.Lock()
-		for i, r := range m.anyPend {
-			if r == req {
-				m.anyPend = append(m.anyPend[:i], m.anyPend[i+1:]...)
-				m.anyN.Add(-1)
-				break
-			}
-		}
-		select {
-		case msg := <-req.reply:
-			m.anyMu.Unlock()
-			reqPool.Put(req)
-			return msg, nil
-		default:
-		}
-		m.anyMu.Unlock()
-		reqPool.Put(req)
-		return Msg{}, ErrCancelled
-	case <-m.closeCh:
-		return Msg{}, ErrMatcherClosed
-	}
+	return m.wait(req, cancel)
 }
 
 // TryRecv performs a non-blocking matched receive from the unexpected
@@ -675,7 +544,7 @@ func (m *Matcher) Epoch() uint32 { return m.epoch.Load() }
 // than e are discarded (including everything unexpected from previous
 // epochs) and buffered future messages at exactly e are re-delivered.
 func (m *Matcher) AdvanceEpoch(e uint32) {
-	// An epoch fence is an explicit flush boundary for batching
+	// An epoch fence is an explicit flush boundary for queueing
 	// transports: everything queued for the old epoch goes to the wire
 	// before we start filtering against the new one.
 	if f, ok := m.ep.(Flusher); ok {
@@ -750,8 +619,10 @@ func (m *Matcher) AdvanceView(v uint64) {
 // Stats returns (delivered, dropped, duplicate-suppressed) message
 // counts summed across lanes. dropped counts stale-epoch discards
 // (paper §IV-D); dupSuppressed counts sequenced duplicates discarded
-// by local recovery's receive-side watermarks.
+// by local recovery's receive-side watermarks. The rings are pumped
+// first, so frames that have arrived but were never asked for count.
 func (m *Matcher) Stats() (delivered, dropped, dupSuppressed uint64) {
+	m.pump()
 	t := m.lockAll()
 	for _, ln := range t.bySrc {
 		delivered += ln.delivered
@@ -904,8 +775,8 @@ func (m *Matcher) Inject(msgs []Msg) {
 // or checkpointing: the seen watermarks plus the sequenced
 // (data-plane) messages accepted into the unexpected queues but not
 // yet consumed. The rings are pumped first so frames already
-// published by co-located senders are accepted and carried across the
-// fence instead of being lost with the endpoint. Unsequenced control
+// published by senders are accepted and carried across the fence
+// instead of being lost with the endpoint. Unsequenced control
 // messages and future-epoch buffers are excluded — the former are
 // generation-private, the latter were never accepted (their sequence
 // numbers are above the watermark, so a replay regenerates them). The

@@ -20,7 +20,7 @@ func TestChanSendPooledRoundtrip(t *testing.T) {
 		if err := a.Send(b.Addr(), Msg{Src: 1, Tag: 7, Data: payload}); err != nil {
 			t.Fatal(err)
 		}
-		m := <-b.Recv()
+		m := recvOne(t, newInbox(t, b), 2*time.Second)
 		if !bytes.Equal(m.Data, payload) {
 			t.Fatalf("pool=%v: got %q", pool != nil, m.Data)
 		}
@@ -50,9 +50,10 @@ func TestChanSendLeakDetection(t *testing.T) {
 	a.Send(b.Addr(), Msg{Data: []byte("released")})
 	a.Send(b.Addr(), Msg{Data: []byte("detached")})
 
-	leaked := <-b.Recv()
-	released := <-b.Recv()
-	detached := <-b.Recv()
+	mb := newInbox(t, b)
+	leaked := recvOne(t, mb, 2*time.Second)
+	released := recvOne(t, mb, 2*time.Second)
+	detached := recvOne(t, mb, 2*time.Second)
 	_ = leaked // dropped without Release: must show up as a leak
 
 	released.Release()
@@ -137,13 +138,16 @@ func TestChanSendAllocs(t *testing.T) {
 	defer b.Close()
 	payload := make([]byte, 1024)
 	dst := b.Addr()
-	inbox := b.Recv()
+	mb := newInbox(t, b)
 
 	send := func() {
 		if err := a.Send(dst, Msg{Src: 1, Tag: 2, Data: payload}); err != nil {
 			t.Fatal(err)
 		}
-		m := <-inbox
+		m, err := mb.Recv(0, 1, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		m.Release()
 	}
 	send() // warm the arena class
@@ -169,8 +173,9 @@ func TestTCPPooledRoundtrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	mb := newInbox(t, b)
 	for i := 0; i < n; i++ {
-		m := <-b.Recv()
+		m := recvOne(t, mb, 2*time.Second)
 		if m.Tag != int32(i) || m.Data[0] != byte(i) {
 			t.Fatalf("frame %d: got tag=%d data=%v (order or content lost)", i, m.Tag, m.Data)
 		}

@@ -11,14 +11,15 @@ import (
 	"time"
 
 	"fmi/internal/bufpool"
-	"fmi/internal/enc"
 )
 
 // TCPNetwork is a Network over real TCP sockets on loopback, built on
 // the standard net package. It exists to exercise the runtime over a
 // genuine byte-stream transport (the paper's PMGR plane runs over
 // TCP/IP) and to validate that nothing in the runtime depends on the
-// in-process channel shortcut.
+// in-process shortcut. Only the wire differs: each inbound
+// connection's reader publishes the frames it decodes into the same
+// per-source rings ChanNetwork senders publish to directly.
 //
 // Failure observation on TCP is the socket close itself, so
 // DetectDelay/PropDelay are not simulated here; disconnects fire as
@@ -47,11 +48,11 @@ func (n *TCPNetwork) NewEndpoint(die <-chan struct{}) (Endpoint, error) {
 		opts:     n.opts,
 		addr:     Addr(l.Addr().String()),
 		listener: l,
-		inbox:    make(chan Msg, n.opts.inboxCap()),
 		accept:   make(chan Conn, 64),
 		dead:     make(chan struct{}),
 		msgConns: make(map[Addr]*msgConn),
 	}
+	ep.ingress.init(n.opts.ringSlots(), ep.dead)
 	go ep.acceptLoop()
 	if die != nil {
 		go func() {
@@ -66,10 +67,11 @@ func (n *TCPNetwork) NewEndpoint(die <-chan struct{}) (Endpoint, error) {
 }
 
 type tcpEndpoint struct {
+	ingress // the receive side: Bell, Pump, AddWaiter
+
 	opts     Options
 	addr     Addr
 	listener net.Listener
-	inbox    chan Msg
 	accept   chan Conn
 
 	mu       sync.Mutex
@@ -77,16 +79,26 @@ type tcpEndpoint struct {
 	conns    []*tcpConn
 	deadOnce sync.Once
 	dead     chan struct{}
-	readers  sync.WaitGroup
 }
 
 // msgConnQCap bounds the per-connection outbound queue; a full queue
 // applies backpressure to senders, mirroring a full NIC send queue.
 const msgConnQCap = 256
 
+// tcpBufSize sizes both bufio buffers of a message connection. It is
+// a trade measured on loopback (2 cores, medians of 7): a burst of
+// small frames wants a buffer that holds several of them — a 2 KiB
+// flood costs 3.3 us/frame at the 4 KiB bufio default (two frames with
+// headers do not fit, so every frame is its own write and read), 2.6
+// at 8 KiB, 2.4 at 32 KiB — while a payload larger than the buffer is
+// copied through it up to the buffer's size on each side, so a 64 KiB
+// ping-pong costs the same at 4 and 8 KiB, +20 % at 16 KiB and +40 %
+// at 32 KiB (BenchmarkTCPFlood, BenchmarkTCPSendRecv).
+const tcpBufSize = 8 << 10
+
 // msgConn is the message plane to one peer: a socket plus a dedicated
-// writer goroutine that coalesces queued frames into one buffered
-// flush (one syscall) instead of a write+flush per Send. hdr is the
+// writer goroutine that writes a gathered burst of queued frames with
+// one buffered flush instead of a write+flush per Send. hdr is the
 // connection-scoped header scratch, touched only by the writer
 // goroutine, so frame encoding allocates nothing.
 type msgConn struct {
@@ -98,12 +110,7 @@ type msgConn struct {
 	deadOnce sync.Once
 	dead     chan struct{}
 
-	// Writer-goroutine-only scratch: the frame header, the burst
-	// gathered from q, and the batch encode buffer (all reused, so
-	// steady-state batching allocates nothing).
-	hdr     [frameHeaderSize]byte
-	burst   []Msg
-	scratch []byte
+	hdr [frameHeaderSize]byte
 }
 
 func (mc *msgConn) kill() {
@@ -125,7 +132,6 @@ func (mc *msgConn) drainQ() {
 }
 
 func (ep *tcpEndpoint) Addr() Addr          { return ep.addr }
-func (ep *tcpEndpoint) Recv() <-chan Msg    { return ep.inbox }
 func (ep *tcpEndpoint) Accept() <-chan Conn { return ep.accept }
 
 func (ep *tcpEndpoint) isDead() bool {
@@ -143,13 +149,11 @@ func (ep *tcpEndpoint) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		ep.readers.Add(1)
 		go ep.handleIncoming(c)
 	}
 }
 
 func (ep *tcpEndpoint) handleIncoming(c net.Conn) {
-	defer ep.readers.Done()
 	var plane [1]byte
 	if _, err := io.ReadFull(c, plane[:]); err != nil {
 		c.Close()
@@ -162,7 +166,7 @@ func (ep *tcpEndpoint) handleIncoming(c net.Conn) {
 	}
 	switch plane[0] {
 	case planeMsg:
-		ep.msgReadLoop(c)
+		ep.msgReadLoop(c, Addr(peer))
 	case planeConn:
 		tc := newTCPConn(ep.addr, Addr(peer), c)
 		ep.mu.Lock()
@@ -185,64 +189,29 @@ func (ep *tcpEndpoint) handleIncoming(c net.Conn) {
 	}
 }
 
-func (ep *tcpEndpoint) msgReadLoop(c net.Conn) {
+// msgReadLoop decodes frames from one peer's connection and publishes
+// them to that peer's ring until the connection or the endpoint dies.
+func (ep *tcpEndpoint) msgReadLoop(c net.Conn, peer Addr) {
 	defer c.Close()
-	r := bufio.NewReader(c)
+	ring := ep.ringFor(peer)
+	if ring == nil {
+		return
+	}
+	r := bufio.NewReaderSize(c, tcpBufSize)
 	for {
 		m, err := readFrame(r, ep.opts.Pool)
-		if err != nil {
-			return
-		}
-		if m.Kind == KindBatch {
-			// Unbatch at ingress: Recv()'s contract is a stream of the
-			// frames that were sent, never the coalescing containers.
-			if !ep.inboxBatch(m) {
-				return
-			}
-			continue
-		}
-		select {
-		case ep.inbox <- m:
-		case <-ep.dead:
-			m.Release()
+		if err != nil || !ring.publish(m, nil) {
 			return
 		}
 	}
-}
-
-// inboxBatch unpacks a coalesced frame and delivers the inner frames
-// to the inbox in order. A malformed batch is dropped whole (the
-// sender only ever emits well-formed ones; corruption means the
-// stream is toast anyway). Returns false when the endpoint died.
-func (ep *tcpEndpoint) inboxBatch(b Msg) bool {
-	parts, err := enc.UnpackBatch(b.Data)
-	if err != nil {
-		b.Release()
-		return true
-	}
-	for _, p := range parts {
-		m, err := decodeFrameBytes(p, ep.opts.Pool)
-		if err != nil {
-			continue
-		}
-		select {
-		case ep.inbox <- m:
-		case <-ep.dead:
-			m.Release()
-			b.Release()
-			return false
-		}
-	}
-	b.Release()
-	return true
 }
 
 // Send queues m for the peer's message plane, dialing lazily. The
 // connection's writer goroutine encodes and flushes asynchronously,
-// coalescing bursts of frames into a single flush; write errors from
-// dead peers tear the connection down silently, matching PSM
-// semantics. The payload is copied into a pooled buffer at enqueue
-// (eager-send: the caller may reuse its buffer once Send returns).
+// one flush per gathered burst; write errors from dead peers tear the
+// connection down silently, matching PSM semantics. The payload is
+// copied into a pooled buffer at enqueue (eager-send: the caller may
+// reuse its buffer once Send returns).
 func (ep *tcpEndpoint) Send(to Addr, m Msg) error {
 	if ep.isDead() {
 		return ErrClosed
@@ -272,48 +241,38 @@ func (ep *tcpEndpoint) Send(to Addr, m Msg) error {
 	}
 }
 
-// Batching bounds for the TCP writer: only frames this small join a
-// batch, and a single batch frame carries at most this many.
-const (
-	tcpBatchMaxEach = 4 << 10
-	tcpBatchMaxRun  = 64
-)
-
-// writeLoop is the connection's writer goroutine: it gathers whatever
-// burst is sitting in the queue, encodes it through the shared
-// bufio.Writer, and flushes once per burst — so a burst of k sends
-// costs one flush, while a lone send still hits the wire immediately
-// (no added latency, which also keeps collectives deadlock-free: a
-// frame a peer is blocked on is never held back waiting for more
-// traffic). Within a burst, consecutive runs of small frames are
-// coalesced into single KindBatch frames, cutting per-frame header
-// and receive-path costs on top of the shared flush.
+// writeLoop is the connection's writer goroutine: it writes whatever
+// burst is sitting in the queue through the shared bufio.Writer and
+// flushes once the queue is empty — so a burst of k sends costs one
+// flush, while a lone send still hits the wire immediately (no added
+// latency, which also keeps collectives deadlock-free: a frame a peer
+// is blocked on is never held back waiting for more traffic).
 func (ep *tcpEndpoint) writeLoop(to Addr, mc *msgConn) {
-	fail := func() {
-		ep.dropMsgConn(to, mc)
-		mc.drainQ()
-	}
 	for {
 		select {
 		case m := <-mc.q:
-			mc.burst = append(mc.burst[:0], m)
-		gather:
+			n := int64(0)
+			var err error
+		burst:
 			for {
+				n++
+				if err == nil {
+					err = writeFrame(mc.w, &mc.hdr, m)
+				}
+				m.Release() // written or abandoned on a write error (PSM semantics)
 				select {
 				case m = <-mc.q:
-					mc.burst = append(mc.burst, m)
 				default:
-					break gather
+					break burst
 				}
 			}
-			n := int64(len(mc.burst))
-			err := mc.writeBurst(ep.opts.DisableCoalesce)
 			if err == nil {
 				err = mc.w.Flush()
 			}
 			mc.pending.Add(-n)
 			if err != nil {
-				fail()
+				ep.dropMsgConn(to, mc)
+				mc.drainQ()
 				return
 			}
 		case <-mc.dead:
@@ -326,68 +285,11 @@ func (ep *tcpEndpoint) writeLoop(to Addr, mc *msgConn) {
 	}
 }
 
-// writeBurst encodes the gathered burst in order: runs of 2+ small
-// frames become one KindBatch frame, everything else is written
-// as-is. Every burst frame is released exactly once, whether written
-// or abandoned on a write error.
-func (mc *msgConn) writeBurst(disableBatch bool) error {
-	var err error
-	i := 0
-	for i < len(mc.burst) && err == nil {
-		j := i
-		if !disableBatch {
-			for j < len(mc.burst) && j-i < tcpBatchMaxRun && len(mc.burst[j].Data) <= tcpBatchMaxEach {
-				j++
-			}
-		}
-		if j-i >= 2 {
-			err = mc.writeRun(mc.burst[i:j])
-			i = j
-		} else {
-			err = mc.writeOne(mc.burst[i])
-			i++
-		}
-	}
-	for ; i < len(mc.burst); i++ {
-		mc.burst[i].Release() // write failed: drop the rest (PSM semantics)
-	}
-	for i := range mc.burst {
-		mc.burst[i] = Msg{}
-	}
-	mc.burst = mc.burst[:0]
-	return err
-}
-
-// writeRun coalesces run (all small frames) into one batch frame.
-func (mc *msgConn) writeRun(run []Msg) error {
-	total := enc.BatchHeaderLen
-	for i := range run {
-		total += batchFrameLen(&run[i])
-	}
-	if cap(mc.scratch) < total {
-		mc.scratch = make([]byte, 0, total)
-	}
-	mc.scratch = enc.AppendBatchHeader(mc.scratch[:0], len(run))
-	for i := range run {
-		mc.scratch = appendBatchFrame(mc.scratch, &run[i])
-		run[i].Release()
-	}
-	return writeFrame(mc.w, &mc.hdr, Msg{Kind: KindBatch, Data: mc.scratch})
-}
-
-// writeOne encodes m into the buffered writer and recycles the pooled
-// payload copy.
-func (mc *msgConn) writeOne(m Msg) error {
-	err := writeFrame(mc.w, &mc.hdr, m)
-	m.Release()
-	return err
-}
-
 // FlushBarrier blocks until every queued outbound frame has been
 // flushed to its socket (or the endpoint/conn died), bounded by a
 // short timeout so a wedged peer cannot stall an epoch fence. The
 // matcher calls this at AdvanceEpoch: an epoch fence is an explicit
-// flush boundary for the batched writers.
+// flush boundary for the queued writers.
 func (ep *tcpEndpoint) FlushBarrier() {
 	ep.mu.Lock()
 	conns := make([]*msgConn, 0, len(ep.msgConns))
@@ -415,7 +317,7 @@ func (ep *tcpEndpoint) getMsgConn(to Addr) (*msgConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := bufio.NewWriter(c)
+	w := bufio.NewWriterSize(c, tcpBufSize)
 	if err := writeHandshake(w, planeMsg, string(ep.addr)); err != nil {
 		c.Close()
 		return nil, err
@@ -475,8 +377,8 @@ func (ep *tcpEndpoint) Connect(peer Addr) (Conn, error) {
 	return tc, nil
 }
 
-// Close shuts the endpoint down: listener and all connections close,
-// readers drain, and the inbox channel is closed.
+// Close shuts the endpoint down: listener and all connections close
+// and the rings are torn down.
 func (ep *tcpEndpoint) Close() error {
 	ep.deadOnce.Do(func() {
 		ep.mu.Lock()
@@ -495,10 +397,7 @@ func (ep *tcpEndpoint) Close() error {
 		for _, tc := range conns {
 			tc.Close()
 		}
-		go func() {
-			ep.readers.Wait()
-			close(ep.inbox)
-		}()
+		ep.ingress.teardown()
 	})
 	return nil
 }
@@ -546,7 +445,15 @@ const frameHeaderSize = 4 + 1 + 1 + 4 + 4 + 4 + 4 + 8 + 8
 // writeFrame encodes m through hdr, the caller-owned header scratch
 // (connection-scoped on the send path — no per-frame allocation).
 func writeFrame(w *bufio.Writer, hdr *[frameHeaderSize]byte, m Msg) error {
-	encodeFrameHeader(hdr, &m)
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(m.Data)))
+	hdr[4] = m.Kind
+	hdr[5] = m.Flags
+	binary.LittleEndian.PutUint32(hdr[6:], uint32(m.Src))
+	binary.LittleEndian.PutUint32(hdr[10:], uint32(m.Tag))
+	binary.LittleEndian.PutUint32(hdr[14:], m.Ctx)
+	binary.LittleEndian.PutUint32(hdr[18:], m.Epoch)
+	binary.LittleEndian.PutUint64(hdr[22:], m.Seq)
+	binary.LittleEndian.PutUint64(hdr[30:], m.View)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}

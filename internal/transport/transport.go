@@ -5,15 +5,20 @@
 //
 // Two implementations are provided:
 //
-//   - ChanNetwork: an in-process network built on Go channels. This is
-//     the default and stands in for the low-latency InfiniBand verbs /
-//     PSM path of the paper. Its Options model the only ibverbs
-//     property FMI relies on: a peer's death is observed on monitored
-//     connections after DetectDelay (~0.2 s on real ibverbs), and an
-//     explicit close is observed after PropDelay.
+//   - ChanNetwork: an in-process network. This is the default and
+//     stands in for the low-latency InfiniBand verbs / PSM path of the
+//     paper. Its Options model the only ibverbs property FMI relies
+//     on: a peer's death is observed on monitored connections after
+//     DetectDelay (~0.2 s on real ibverbs), and an explicit close is
+//     observed after PropDelay.
 //
 //   - TCPNetwork: a real TCP/IP network over loopback using the net
 //     package, analogous to the PMGR TCP plane of the paper.
+//
+// Both deliver into the same receive side: one lock-free ring per
+// source on the receiving endpoint (a ChanNetwork sender publishes to
+// it directly, a TCPNetwork socket reader publishes what it decodes),
+// drained by the endpoint's Matcher.
 //
 // Semantics shared by both, chosen to match the paper's observations
 // about PSM (§IV-C): sending to a dead peer does NOT return an error —
@@ -44,11 +49,6 @@ const (
 	KindColl
 	KindCkpt
 	KindCtl
-	// KindBatch is transport-internal: a container frame produced by
-	// send-side coalescing whose payload is an enc batch of complete
-	// frames (header + payload each). It is unpacked at matcher
-	// ingress; upper layers never see it.
-	KindBatch
 )
 
 // Msg flags.
@@ -128,41 +128,22 @@ type Options struct {
 	// MsgDelay is a simulated one-way per-message delivery latency for
 	// ChanNetwork (0 = instant delivery, the default). Sends still
 	// return immediately and messages to one destination still arrive
-	// in order, but each arrives MsgDelay after it was sent. It models
-	// interconnect latency so that round-count differences between
-	// collective algorithms are observable on the in-process substrate,
-	// where delivery is otherwise free. TCPNetwork ignores it (TCP has
-	// real latency).
+	// in order, but each is published to the destination's ring
+	// MsgDelay after it was sent. It models interconnect latency so
+	// that round-count differences between collective algorithms are
+	// observable on the in-process substrate, where delivery is
+	// otherwise free. TCPNetwork ignores it (TCP has real latency).
 	MsgDelay time.Duration
-	// InboxCap is the buffered capacity of an endpoint inbox
-	// (0 means a default of 4096).
-	InboxCap int
 	// Pool, when non-nil, supplies the buffer arena for frame payload
 	// copies (chan Send) and frame reads (TCP). nil disables pooling:
 	// every frame allocates, messages never need releasing.
 	Pool *bufpool.Arena
-	// DisableRings forces every ChanNetwork pair onto the channel
-	// path even when sender and receiver share a node. Rings are also
-	// bypassed automatically when MsgDelay > 0 (the delay queue is the
-	// simulated wire; a same-node shortcut would skip it).
-	DisableRings bool
-	// DisableCoalesce turns off send-side batching of small frames:
-	// the chan path blocks on a full ring instead of coalescing, and
-	// the TCP writer emits one frame per message.
-	DisableCoalesce bool
-	// RingSlots is the per-pair ring capacity (rounded up to a power
+	// RingSlots is the per-source ring capacity (rounded up to a power
 	// of two; 0 means a default of 256).
 	RingSlots int
 	// Endpoints is a sizing hint: the number of endpoints the caller
 	// expects to create on the network (0 = unknown).
 	Endpoints int
-}
-
-func (o Options) inboxCap() int {
-	if o.InboxCap <= 0 {
-		return 4096
-	}
-	return o.InboxCap
 }
 
 func (o Options) ringSlots() int {
@@ -192,14 +173,28 @@ type Endpoint interface {
 	// Addr returns the endpoint's address.
 	Addr() Addr
 	// Send delivers m to the endpoint at 'to'. It preserves order per
-	// destination, blocks only when the destination inbox is full, and
+	// destination, blocks only when the pair's queue is full, and
 	// silently drops the message if the peer is dead or unknown
 	// (matching PSM semantics). It returns ErrClosed only if this
 	// endpoint itself is closed.
 	Send(to Addr, m Msg) error
-	// Recv returns the merged inbound message stream. The channel is
-	// closed when the endpoint closes.
-	Recv() <-chan Msg
+	// Bell, Pump and AddWaiter are the receive side; the endpoint's
+	// Matcher is the intended (single) consumer. Bell is a 1-slot
+	// doorbell tapped when the consumer must pump without being asked:
+	// a frame arrived while a receiver is parked, a source's ring is
+	// full, or the endpoint died.
+	Bell() <-chan struct{}
+	// Pump hands every queued inbound frame to fn in per-(sender,
+	// receiver) FIFO order. Concurrent pumps are safe: one drains, the
+	// others return at once and the drainer picks up what they came
+	// for. It reports false once the endpoint is dead.
+	Pump(fn func(Msg)) bool
+	// AddWaiter adjusts the count of receivers parked (or about to
+	// park) waiting for a match. Producers tap the bell per frame only
+	// while the count is non-zero; a waiter must therefore pump once
+	// more after incrementing and before parking, so a publish that
+	// read the count as zero is seen by that final pump.
+	AddWaiter(delta int32)
 	// Connect establishes a monitored connection to peer; it fails
 	// with ErrUnreachable if the peer is dead.
 	Connect(peer Addr) (Conn, error)
@@ -210,7 +205,7 @@ type Endpoint interface {
 }
 
 // Flusher is optionally implemented by endpoints whose send path
-// batches frames (TCPNetwork's coalescing writer). FlushBarrier
+// queues frames behind a writer (TCPNetwork). FlushBarrier
 // blocks — bounded by a short internal timeout — until queued
 // outbound frames have reached the wire. The Matcher invokes it at
 // every epoch fence (AdvanceEpoch), making fences explicit flush
@@ -226,34 +221,10 @@ type Network interface {
 	NewEndpoint(die <-chan struct{}) (Endpoint, error)
 }
 
-// NodePlacer is optionally implemented by networks that model node
-// placement. An endpoint created with a node id participates in the
-// intra-node fast path: pairs on the same node exchange messages over
-// per-pair rings instead of the shared channel path. NewEndpoint is
-// equivalent to NewEndpointOnNode(-1, die): unplaced, no rings.
+// NodePlacer is optionally implemented by networks that are told
+// which node an endpoint's process runs on. The id is placement
+// metadata only: every pair uses the same link wherever its ends are,
+// and NewEndpoint is NewEndpointOnNode(-1, die).
 type NodePlacer interface {
 	NewEndpointOnNode(node int, die <-chan struct{}) (Endpoint, error)
-}
-
-// RingIngress is implemented by endpoints whose inbound traffic can
-// arrive on per-pair rings in addition to the Recv channel. The
-// Matcher is the intended consumer: it pumps the rings inline on
-// every receive call and its demux goroutine watches RingBell for
-// traffic that arrives while every receiver is parked.
-type RingIngress interface {
-	// RingBell returns the doorbell: a 1-slot channel that a producer
-	// taps after publishing to any of the endpoint's rings. nil when
-	// the endpoint was created without a node id (no rings ever).
-	RingBell() <-chan struct{}
-	// PumpRings drains every inbound ring, handing frames to fn in
-	// per-(sender, receiver) FIFO order. It returns false without
-	// calling fn when another pump is already running (the concurrent
-	// pump delivers the frames; running two would reorder a pair).
-	PumpRings(fn func(Msg)) bool
-	// AddRingWaiter adjusts the count of receivers parked (or about
-	// to park) waiting for a match. Producers tap the bell only while
-	// the count is non-zero; a waiter must therefore pump once more
-	// after incrementing and before parking, so a publish that read
-	// the count as zero is seen by that final pump.
-	AddRingWaiter(delta int32)
 }

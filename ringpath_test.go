@@ -7,66 +7,52 @@ import (
 	"testing"
 )
 
-// Ring fast-path acceptance tests (ISSUE 10 satellite): the intra-node
-// SPSC rings and send-side coalescing are pure transport optimizations,
-// so (1) switching them on or off must not change a single byte of any
-// rank's final state, with or without an injected failure, and (2) a
-// rank killed mid-collective while its peers are exchanging over rings
-// must recover exactly like the channel path does. ProcsPerNode is 2
-// throughout so neighbouring ranks co-locate and the ring path actually
-// engages (ppn=1 would silently test the channel path only).
-
-// transportModeConfigs enumerates the ring/coalescing ablation matrix.
-func transportModeConfigs() []struct {
-	name string
-	pin  func(*Config)
-}{
-	return []struct {
-		name string
-		pin  func(*Config)
-	}{
-		{"rings+coalesce", func(*Config) {}},
-		{"rings-only", func(c *Config) { c.NoSendCoalescing = true }},
-		{"no-rings", func(c *Config) { c.NoTransportRings = true }},
-		{"neither", func(c *Config) { c.NoTransportRings = true; c.NoSendCoalescing = true }},
-	}
-}
+// Single-link acceptance tests: every pair, co-located or not, on chan
+// or TCP, delivers through a per-source ring into the matcher, so (1)
+// where the ranks are placed and which wire carries their frames must
+// not change a single byte of any rank's final state, with or without
+// an injected failure, and (2) a rank killed mid-collective while its
+// peers are exchanging over rings must recover exactly.
 
 // TestTransportModesByteIdentical runs the pooling parity workload —
-// p2p sendrecv, packed collectives, checkpoints — across the full
-// ring/coalescing matrix and requires byte-identical per-rank state.
-// The fault=true arm additionally kills a rank mid-run, so recovery
-// replay and ring teardown/rebuild are covered by the same identity.
+// p2p sendrecv, packed collectives, checkpoints — over ProcsPerNode
+// {1, 2} x {chan, tcp} and requires byte-identical per-rank state. The
+// fault=true arm additionally kills a rank mid-run (with its node, so
+// its neighbour too at two per node), so recovery and ring
+// teardown/rebuild are covered by the same identity.
 func TestTransportModesByteIdentical(t *testing.T) {
 	for _, fault := range []bool{false, true} {
 		fault := fault
 		t.Run(fmt.Sprintf("fault=%v", fault), func(t *testing.T) {
 			var want map[int][]byte
-			for _, mode := range transportModeConfigs() {
-				cfg := fastCfg(8, 2, 1, 2)
-				mode.pin(&cfg)
-				if fault {
-					cfg.Faults = &FaultPlan{Script: []Fault{{AfterLoop: 3, Node: -1, Rank: 5}}}
-				}
-				var results sync.Map
-				if _, err := Run(cfg, poolParityApp(7, &results)); err != nil {
-					t.Fatalf("%s: Run: %v", mode.name, err)
-				}
-				got := map[int][]byte{}
-				results.Range(func(k, v any) bool {
-					got[k.(int)] = v.([]byte)
-					return true
-				})
-				if len(got) != 8 {
-					t.Fatalf("%s: %d results, want 8", mode.name, len(got))
-				}
-				if want == nil {
-					want = got
-					continue
-				}
-				for r, w := range want {
-					if !bytes.Equal(got[r], w) {
-						t.Errorf("%s: rank %d state %x, want %x", mode.name, r, got[r], w)
+			for _, ppn := range []int{1, 2} {
+				for tr, trName := range map[TransportKind]string{ChanTransport: "chan", TCPTransport: "tcp"} {
+					name := fmt.Sprintf("ppn%d/%s", ppn, trName)
+					cfg := fastCfg(8, ppn, 1, 2)
+					cfg.Transport = tr
+					if fault {
+						cfg.Faults = &FaultPlan{Script: []Fault{{AfterLoop: 3, Node: -1, Rank: 5}}}
+					}
+					var results sync.Map
+					if _, err := Run(cfg, poolParityApp(7, &results)); err != nil {
+						t.Fatalf("%s: Run: %v", name, err)
+					}
+					got := map[int][]byte{}
+					results.Range(func(k, v any) bool {
+						got[k.(int)] = v.([]byte)
+						return true
+					})
+					if len(got) != 8 {
+						t.Fatalf("%s: %d results, want 8", name, len(got))
+					}
+					if want == nil {
+						want = got
+						continue
+					}
+					for r, w := range want {
+						if !bytes.Equal(got[r], w) {
+							t.Errorf("%s: rank %d state %x, want %x", name, r, got[r], w)
+						}
 					}
 				}
 			}
@@ -75,10 +61,9 @@ func TestTransportModesByteIdentical(t *testing.T) {
 }
 
 // TestMidCollectiveKillOnRingPath kills a rank while a forced-ring
-// allreduce is in flight between co-located pairs, under both recovery
-// modes. The debug arena makes the run double as a leak check: a ring
-// slot orphaned by the victim's poison-drain, or a coalesced batch
-// dropped mid-unpack, would surface as a Run error from the arena
+// allreduce is in flight, under both recovery modes. The debug arena
+// makes the run double as a leak check: a ring slot orphaned by the
+// victim's poison-drain would surface as a Run error from the arena
 // audit. The surviving ranks must converge to the exact answer.
 func TestMidCollectiveKillOnRingPath(t *testing.T) {
 	const ranks, iters = 8, 9
