@@ -20,9 +20,11 @@ race:
 # Soak the transport: every message rides one link and one matcher
 # ingress, whose wake-up invariants (DESIGN.md §3k) are ordering
 # properties, so the race detector runs the package's tests 20 times
-# each at three scheduler widths.
+# each at three scheduler widths. The message log rides along: its
+# replay pin against the asynchronous trim (DESIGN.md §3c) is the same
+# kind of interleaving property.
 soak-transport:
-	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -race -count=20 ./internal/transport || exit 1; done
+	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -race -count=20 ./internal/transport ./internal/msglog || exit 1; done
 
 vet:
 	$(GO) vet ./...

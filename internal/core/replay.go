@@ -43,6 +43,11 @@ func (p *Proc) replayExchange() error {
 	if err != nil {
 		return ErrFailureDetected
 	}
+	// The replay sends straight from the log's chunks: the pin keeps a
+	// concurrent trimLog from handing them back to the arena (and so to
+	// another sender) until every send has copied its payload.
+	p.log.Pin()
+	defer p.log.Unpin()
 	plan := make([][]msglog.Entry, p.n)
 	total := 0
 	for dst := 0; dst < p.n; dst++ {

@@ -61,10 +61,12 @@ func TestTransportModesByteIdentical(t *testing.T) {
 }
 
 // TestMidCollectiveKillOnRingPath kills a rank while a forced-ring
-// allreduce is in flight, under both recovery modes. The debug arena
-// makes the run double as a leak check: a ring slot orphaned by the
-// victim's poison-drain would surface as a Run error from the arena
-// audit. The surviving ranks must converge to the exact answer.
+// allreduce is in flight, under both recovery modes: a recovery must
+// happen and every rank must converge to the exact answer. The debug
+// arena turns a buffer released twice (say, a ring slot freed by both
+// the victim's poison-drain and its consumer) into a panic that fails
+// the test. It is no leak check: Run never audits the arena's
+// outstanding buffers, so a slot that is never released goes unseen.
 func TestMidCollectiveKillOnRingPath(t *testing.T) {
 	const ranks, iters = 8, 9
 	for _, recovery := range []string{"global", "local"} {
