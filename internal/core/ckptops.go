@@ -11,18 +11,21 @@ import (
 )
 
 // groupComm adapts the FMI transport to ckpt's ring interface for one
-// XOR group; peers are group-local indices.
+// XOR group; peers are group-local indices. tag separates the
+// checkpoint's encode ring (tagCkptRing) from the recovery's decode
+// and re-encode (tagCkptRebuild).
 type groupComm struct {
 	p       *Proc
 	members []int // world ranks
+	tag     int32
 }
 
 func (gc *groupComm) Send(peer int, data []byte) error {
-	return gc.p.sendRaw(gc.members[peer], ctxWorld, tagCkptRing, transport.KindCkpt, data)
+	return gc.p.sendRaw(gc.members[peer], ctxWorld, gc.tag, transport.KindCkpt, data)
 }
 
 func (gc *groupComm) Recv(peer int) ([]byte, error) {
-	msg, err := gc.p.recvRaw(ctxWorld, int32(gc.members[peer]), tagCkptRing)
+	msg, err := gc.p.recvRaw(ctxWorld, int32(gc.members[peer]), gc.tag)
 	if err != nil {
 		return nil, err
 	}
@@ -264,6 +267,16 @@ func decodeBrief(data []byte) (brief, error) {
 // capture with this rank's meta latency — and the capture itself lands
 // in a pooled buffer recycled when the entry eventually retires.
 func (p *Proc) checkpoint(id int, segs [][]byte) error {
+	if p.replicaOn() {
+		// Pace the pair: start this checkpoint only once the other copy
+		// of this rank committed the previous one, so a pair loss can
+		// always roll back to a checkpoint every survivor holds (see
+		// negotiateRestore).
+		shadow := p.cfg.Shadow && !p.promotedSelf()
+		if err := p.cfg.Replica.AwaitPartnerCheckpoint(p.rank, shadow, p.l1Count, p.gen.cancelCh); err != nil {
+			return ErrFailureDetected
+		}
+	}
 	start := time.Now()
 	group := p.groups[p.rank]
 	gi := p.gidx[p.rank]
@@ -343,7 +356,7 @@ func (p *Proc) checkpoint(id int, segs [][]byte) error {
 		}
 		chunkLen := p.coder.ChunkLen(maxSize, g)
 		encStart := time.Now()
-		parity, err := p.coder.Encode(&groupComm{p, group}, gi, g, snap.Data, chunkLen)
+		parity, err := p.coder.Encode(&groupComm{p, group, tagCkptRing}, gi, g, snap.Data, chunkLen)
 		if err != nil {
 			// The transports copy at Send, so nothing aliases the pooled
 			// snapshot once Encode unwinds; recycle before abandoning.
@@ -399,11 +412,19 @@ func (p *Proc) checkpoint(id int, segs [][]byte) error {
 	// local-mode fence may have rolled this very entry forward already —
 	// never recycle the entry being committed.
 	if p.committed != entry {
-		p.recycleEntry(p.committed)
+		if p.cfg.Replica != nil {
+			p.recycleEntry(p.prior)
+			p.prior = p.committed
+		} else {
+			p.recycleEntry(p.committed)
+		}
 	}
 	p.committed = entry
 	p.staged = nil
 	p.lastCkpt = id
+	if p.replicaOn() {
+		p.cfg.Replica.CommitCheckpoint(p.rank, p.cfg.Shadow && !p.promotedSelf(), p.l1Count)
+	}
 	p.viewCkpt = false // shards now encoded under the current view
 	if p.cfg.Local {
 		ents, bytes := p.log.Stats()

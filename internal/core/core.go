@@ -71,20 +71,20 @@ func (s State) String() string {
 // Reserved tag space. User tags must be >= 0; the runtime owns the
 // negative space.
 const (
-	tagBcast     int32 = -1
-	tagReduce    int32 = -2
-	tagGather    int32 = -3
-	tagScatter   int32 = -4
-	tagAlltoall  int32 = -5
-	tagBarrierUp int32 = -6
-	tagBarrierDn int32 = -7 // retired: barrier runs as one schedule on tagBarrierUp
-	tagAllreduce int32 = -8
-	tagAllgather int32 = -9
-	tagCkptRing  int32 = -20 // XOR encode/decode ring traffic
-	tagCkptSize  int32 = -21 // group size exchange
-	tagCkptMeta  int32 = -22 // runtime meta to restarted ranks
-	tagCkptChunk int32 = -23 // decode gather chunks
-	tagCkptAgree int32 = -24 // checkpoint completion tree
+	tagBcast       int32 = -1
+	tagReduce      int32 = -2
+	tagGather      int32 = -3
+	tagScatter     int32 = -4
+	tagAlltoall    int32 = -5
+	tagBarrierUp   int32 = -6
+	tagBarrierDn   int32 = -7 // retired: barrier runs as one schedule on tagBarrierUp
+	tagAllreduce   int32 = -8
+	tagAllgather   int32 = -9
+	tagCkptRing    int32 = -20 // checkpoint encode ring traffic
+	tagCkptSize    int32 = -21 // group size exchange
+	tagCkptMeta    int32 = -22 // runtime meta to restarted ranks
+	tagCkptRebuild int32 = -23 // recovery decode + re-encode ring traffic
+	tagCkptAgree   int32 = -24 // checkpoint completion tree
 	// tagShadowSync carries a primary's full state snapshot to a
 	// re-provisioned shadow (replica recovery); sent directly, never
 	// mirrored, with Seq 0 so it bypasses the dedup watermarks.

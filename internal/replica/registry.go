@@ -77,6 +77,11 @@ type Registry struct {
 	shadowInc []uint64
 	fenceInc  [][]uint64
 	fenceSeq  [][]uint64
+
+	// ckptDone[side][rank] is the ordinal of the last level-1
+	// checkpoint the copy of rank on that side committed (0: acting
+	// primary, 1: shadow); AwaitPartnerCheckpoint paces the pair on it.
+	ckptDone [2][]int
 }
 
 // NewRegistry creates an active registry for n ranks with no
@@ -98,6 +103,7 @@ func NewRegistry(n int) *Registry {
 		shadowInc:   make([]uint64, n),
 		fenceInc:    make([][]uint64, n),
 		fenceSeq:    make([][]uint64, n),
+		ckptDone:    [2][]int{make([]int, n), make([]int, n)},
 	}
 	for i := range r.fenceInc {
 		r.fenceInc[i] = make([]uint64, n)
@@ -223,6 +229,7 @@ func (r *Registry) Promote(rank int) bool {
 	r.syncReq[rank] = false
 	r.promoted[rank] = true
 	r.promotedInc[rank] = r.shadowInc[rank]
+	r.ckptDone[0][rank], r.ckptDone[1][rank] = r.ckptDone[1][rank], 0
 	r.bump()
 	return true
 }
@@ -375,14 +382,63 @@ func (r *Registry) SyncFences(rank int) ([]uint64, bool) {
 }
 
 // MarkSynced flags rank's shadow as promotable (its state snapshot
-// has been applied).
-func (r *Registry) MarkSynced(rank int) {
+// has been applied); l1 is the checkpoint ordinal it adopted.
+func (r *Registry) MarkSynced(rank, l1 int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.hasShad[rank] {
 		r.synced[rank] = true
+		r.ckptDone[1][rank] = l1
 	}
 	r.bump()
+}
+
+// CommitCheckpoint records that the copy of rank on the shadow side
+// (or the acting primary) committed level-1 checkpoint ordinal l1.
+func (r *Registry) CommitCheckpoint(rank int, shadow bool, l1 int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if rank < 0 || rank >= r.n {
+		return
+	}
+	side := 0
+	if shadow {
+		side = 1
+	}
+	if l1 > r.ckptDone[side][rank] {
+		r.ckptDone[side][rank] = l1
+		r.bump()
+	}
+}
+
+// AwaitPartnerCheckpoint blocks a copy of rank about to start the
+// checkpoint after ordinal l1 until the other copy has committed l1,
+// so the two never run more than one checkpoint apart. It returns at
+// once when there is no other copy to wait for (dropped, promoted
+// away, or a replacement not yet synced) or the registry is inactive,
+// and ErrCancelled when cancel fires first.
+func (r *Registry) AwaitPartnerCheckpoint(rank int, shadow bool, l1 int, cancel <-chan struct{}) error {
+	for {
+		r.mu.Lock()
+		if !r.active || rank < 0 || rank >= r.n {
+			r.mu.Unlock()
+			return nil
+		}
+		live, done := r.hasShad[rank] && r.synced[rank], r.ckptDone[1][rank]
+		if shadow {
+			live, done = r.hasPrim[rank], r.ckptDone[0][rank]
+		}
+		ch := r.changed
+		r.mu.Unlock()
+		if !live || done >= l1 {
+			return nil
+		}
+		select {
+		case <-ch:
+		case <-cancel:
+			return ErrCancelled
+		}
+	}
 }
 
 // ShadowState reports rank's shadow bookkeeping atomically:
@@ -441,6 +497,9 @@ func (r *Registry) BeginEpoch(n int) {
 	r.promoted = promoted
 	r.promotedInc = promotedInc
 	r.shadowInc = shadowInc
+	for side, done := range r.ckptDone {
+		r.ckptDone[side] = append(done, make([]int, max(0, n-len(done)))...)[:n]
+	}
 	r.fenceInc = make([][]uint64, n)
 	r.fenceSeq = make([][]uint64, n)
 	for i := range r.fenceInc {

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"testing"
+	"time"
 
 	"fmi/internal/cluster"
 	"fmi/internal/trace"
@@ -52,7 +53,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	if _, ok := r.TakeSyncRequest(0); ok {
 		t.Fatal("TakeSyncRequest not cleared")
 	}
-	r.MarkSynced(0)
+	r.MarkSynced(0, 0)
 	if !r.Promote(0) {
 		t.Fatal("Promote of a synced replacement failed")
 	}
@@ -131,5 +132,45 @@ func TestStoreSubmitLoadRebuild(t *testing.T) {
 	}
 	if _, err := s.Load("missing"); err == nil {
 		t.Fatal("Load of an absent key succeeded")
+	}
+}
+
+func TestAwaitPartnerCheckpointPacesThePair(t *testing.T) {
+	r := NewRegistry(1)
+	r.SetPrimary(0, "p0")
+	r.SetShadow(0, "s0", false)
+	// The primary committed ordinal 1 and is about to start the next
+	// checkpoint: it waits for the shadow to commit 1 as well.
+	r.CommitCheckpoint(0, false, 1)
+	done := make(chan error, 1)
+	go func() { done <- r.AwaitPartnerCheckpoint(0, false, 1, nil) }()
+	select {
+	case err := <-done:
+		t.Fatalf("returned (%v) before the shadow committed", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	r.CommitCheckpoint(0, true, 1)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("still waiting after the shadow committed")
+	}
+	// A copy never waits for a partner that is ahead of it.
+	if err := r.AwaitPartnerCheckpoint(0, true, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	r.CommitCheckpoint(0, false, 2)
+	cancel := make(chan struct{})
+	close(cancel)
+	if err := r.AwaitPartnerCheckpoint(0, false, 2, cancel); err != ErrCancelled {
+		t.Fatalf("cancelled wait returned %v", err)
+	}
+	// A dead partner releases the wait.
+	r.DropShadow(0)
+	if err := r.AwaitPartnerCheckpoint(0, false, 2, nil); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -123,3 +123,73 @@ func TestDedupOutOfRangeSourceDropped(t *testing.T) {
 		t.Fatal("sequenced message with out-of-range source accepted")
 	}
 }
+
+func TestOrderedDedupHoldsFramesAboveGap(t *testing.T) {
+	_, _, mb := newMatcherPair(t)
+	mb.EnableOrderedDedup(4, []uint64{0, 4, 0, 0})
+	// One copy of source 1 began mirroring to this endpoint late and
+	// delivers 6 and 7 before the other copy's 5 lands. A plain high
+	// watermark would accept 6 and then drop 5 as a duplicate.
+	mb.ingest(Msg{Src: 1, Tag: 1, Seq: 6, Data: []byte("six")})
+	mb.ingest(Msg{Src: 1, Tag: 1, Seq: 7, Data: []byte("seven")})
+	if msg, ok := mb.TryRecv(0, 1, 1); ok {
+		t.Fatalf("frame above the gap delivered early: %q", msg.Data)
+	}
+	if got := mb.SeenVector()[1]; got != 4 {
+		t.Fatalf("watermark moved over the gap to %d", got)
+	}
+	mb.ingest(Msg{Src: 1, Tag: 1, Seq: 5, Data: []byte("five")})
+	mb.ingest(Msg{Src: 1, Tag: 1, Seq: 6, Data: []byte("six, second copy")})
+	for _, want := range []string{"five", "six", "seven"} {
+		msg, ok := mb.TryRecv(0, 1, 1)
+		if !ok || string(msg.Data) != want {
+			t.Fatalf("got %q %v, want %q", msg.Data, ok, want)
+		}
+	}
+	if msg, ok := mb.TryRecv(0, 1, 1); ok {
+		t.Fatalf("duplicate delivered: %q", msg.Data)
+	}
+	if got := mb.SeenVector()[1]; got != 7 {
+		t.Fatalf("seen[1] = %d, want 7", got)
+	}
+}
+
+func TestOrderedDedupSeedReleasesHeldFrames(t *testing.T) {
+	_, _, mb := newMatcherPair(t)
+	mb.EnableOrderedDedup(4, nil)
+	// A re-provisioned copy hears mirrored frames before its state
+	// snapshot: they wait until the snapshot's watermarks arrive, and
+	// those at or below them are the snapshot's own.
+	mb.ingest(Msg{Src: 2, Tag: 1, Seq: 8, Data: []byte("eight")})
+	mb.ingest(Msg{Src: 2, Tag: 1, Seq: 9, Data: []byte("nine")})
+	mb.ingest(Msg{Src: 2, Tag: 1, Seq: 10, Data: []byte("ten")})
+	mb.SeedSeenPurge([]uint64{0, 0, 8, 0})
+	for _, want := range []string{"nine", "ten"} {
+		msg, ok := mb.TryRecv(0, 2, 1)
+		if !ok || string(msg.Data) != want {
+			t.Fatalf("got %q %v, want %q", msg.Data, ok, want)
+		}
+	}
+	if msg, ok := mb.TryRecv(0, 2, 1); ok {
+		t.Fatalf("frame below the seeded watermark delivered: %q", msg.Data)
+	}
+}
+
+func TestInjectKeepsSequenceOrder(t *testing.T) {
+	_, _, mb := newMatcherPair(t)
+	mb.EnableDedup(4)
+	mb.SeedSeen([]uint64{0, 0, 3, 0})
+	// A newer message arrived directly before the older, already
+	// accepted ones are spliced in: the splice must go ahead of it.
+	mb.ingest(Msg{Src: 2, Tag: 1, Seq: 4, Data: []byte("four")})
+	mb.Inject([]Msg{
+		{Src: 2, Tag: 1, Seq: 2, Data: []byte("two")},
+		{Src: 2, Tag: 1, Seq: 3, Data: []byte("three")},
+	})
+	for _, want := range []string{"two", "three", "four"} {
+		msg, ok := mb.TryRecv(0, 2, 1)
+		if !ok || string(msg.Data) != want {
+			t.Fatalf("got %q %v, want %q", msg.Data, ok, want)
+		}
+	}
+}

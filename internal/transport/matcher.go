@@ -55,7 +55,10 @@ const maxLaneSrc = 1 << 16
 // suppression (EnableDedup): every sequenced message (Seq != 0) at or
 // below the per-source ingress watermark is a duplicate — a re-sent
 // copy from a replaying sender or a re-executed send from a respawned
-// rank — and is counted and discarded.
+// rank — and is counted and discarded. Replica mode switches on the
+// ordered form (EnableOrderedDedup): a source's frames reach this
+// endpoint over two paths, one per copy of the sender, and a frame
+// above a gap waits until the gap fills.
 type Matcher struct {
 	ep Endpoint
 	// ingestFn is m.ingest bound once: passing a fresh method value
@@ -80,6 +83,7 @@ type Matcher struct {
 	epoch   atomic.Uint32
 	view    atomic.Uint64 // minimum acceptable membership view (0 = off)
 	dedup   atomic.Bool
+	ordered atomic.Bool  // dedup admits each source's sequence numbers in order
 	dedupN  atomic.Int64 // world size of the seen vector
 	closed  atomic.Bool
 	closeCh chan struct{}
@@ -101,6 +105,7 @@ type lane struct {
 	pending    []*recvReq
 	future     []Msg
 	seen       uint64 // highest sequenced message accepted (dedup watermark)
+	held       []Msg  // ordered dedup: frames above a sequence gap, ascending Seq
 
 	delivered, dropped, dupSuppressed uint64
 }
@@ -263,11 +268,49 @@ func (m *Matcher) ingest(msg Msg) {
 	ln.mu.Unlock()
 }
 
-// matchOrQueueLane applies view filtering and duplicate suppression,
-// then hands msg to the earliest-posted matching receive — across the
+// matchOrQueueLane files msg (fileLane), then — under ordered dedup —
+// every held frame the new watermark has reached. Caller holds ln.mu.
+func (m *Matcher) matchOrQueueLane(ln *lane, msg Msg) {
+	m.fileLane(ln, msg)
+	m.releaseHeld(ln)
+}
+
+// releaseHeld files the held frames that no longer sit above a gap.
+// Caller holds ln.mu.
+func (m *Matcher) releaseHeld(ln *lane) {
+	for len(ln.held) > 0 && ln.held[0].Seq <= ln.seen+1 {
+		next := ln.held[0]
+		ln.held[0] = Msg{}
+		ln.held = ln.held[1:]
+		m.fileLane(ln, next)
+	}
+}
+
+// hold parks a frame that arrived above a sequence gap, in Seq order;
+// a second copy of a held frame is a duplicate. Caller holds ln.mu.
+func (ln *lane) hold(msg Msg) {
+	at := len(ln.held)
+	for i, h := range ln.held {
+		if h.Seq == msg.Seq {
+			ln.dupSuppressed++
+			msg.Release()
+			return
+		}
+		if h.Seq > msg.Seq {
+			at = i
+			break
+		}
+	}
+	ln.held = append(ln.held, Msg{})
+	copy(ln.held[at+1:], ln.held[at:])
+	ln.held[at] = msg
+}
+
+// fileLane applies view filtering and duplicate suppression, then
+// hands msg to the earliest-posted matching receive — across the
 // lane's posted queue and the AnySource queue — or files it
 // unexpected. Caller holds ln.mu.
-func (m *Matcher) matchOrQueueLane(ln *lane, msg Msg) {
+func (m *Matcher) fileLane(ln *lane, msg Msg) {
 	if v := m.view.Load(); v != 0 && msg.View != 0 && msg.View < v {
 		// Stamped under a membership view that has since been replaced:
 		// the sender had not yet observed the view change. Epoch
@@ -286,6 +329,13 @@ func (m *Matcher) matchOrQueueLane(ln *lane, msg Msg) {
 		if msg.Seq <= ln.seen {
 			ln.dupSuppressed++
 			msg.Release()
+			return
+		}
+		if msg.Seq > ln.seen+1 && m.ordered.Load() {
+			// The frames in between are still on their way over the
+			// source's other path; accepting this one now would raise
+			// the watermark over them and drop them as duplicates.
+			ln.hold(msg)
 			return
 		}
 		ln.seen = msg.Seq
@@ -659,6 +709,23 @@ func (m *Matcher) EnableDedup(n int) {
 	m.raiseDedupN(int64(n))
 }
 
+// EnableOrderedDedup is EnableDedup for streams that reach this
+// endpoint over more than one path (replica mode: each copy of a
+// sender pair mirrors every message to both copies of the receiver
+// pair). A source's sequence numbers are contiguous, but one path can
+// run ahead of the other — a promoted or freshly synced copy resumes
+// mid-stream — so a frame above the next expected number is held until
+// the ones before it arrive, and each source's messages are accepted
+// exactly once and in order. seen seeds the watermarks (nil: every
+// stream starts at 1).
+func (m *Matcher) EnableOrderedDedup(n int, seen []uint64) {
+	m.ordered.Store(true)
+	m.EnableDedup(n)
+	if len(seen) > 0 {
+		m.SeedSeen(seen)
+	}
+}
+
 func (m *Matcher) raiseDedupN(n int64) {
 	for {
 		cur := m.dedupN.Load()
@@ -715,6 +782,7 @@ func (m *Matcher) seedSeen(seen []uint64, purge bool) {
 			}
 			ln.resetUnx(keep)
 		}
+		m.releaseHeld(ln)
 		ln.mu.Unlock()
 	}
 }
@@ -744,6 +812,10 @@ func (m *Matcher) ResetSeen() {
 	for _, ln := range t.bySrc {
 		ln.mu.Lock()
 		ln.seen = 0
+		for i := range ln.held {
+			ln.held[i].Release()
+		}
+		ln.held = nil
 		keep := ln.unexpected[:0]
 		for _, msg := range ln.unx() {
 			if msg.Seq == 0 {
@@ -757,18 +829,42 @@ func (m *Matcher) ResetSeen() {
 	}
 }
 
-// Inject appends already-accepted messages to their source lanes'
+// Inject files already-accepted messages in their source lanes'
 // unexpected queues, bypassing the epoch and duplicate filters (their
 // sequence numbers are already covered by the seeded watermarks).
 // Used to carry accepted-but-unconsumed messages across an epoch
-// fence, and to restore a checkpointed queue on a respawned rank.
+// fence, to restore a checkpointed queue on a respawned rank, and to
+// splice a primary's queue into a re-provisioned shadow. The lane may
+// already hold newer messages of the same source that arrived
+// directly, so a sequenced message goes ahead of every queued one
+// with a higher sequence number: matching takes the first queued
+// message that fits, and two messages of one source on one tag must
+// match in the order they were sent.
 func (m *Matcher) Inject(msgs []Msg) {
 	for _, msg := range msgs {
 		ln := m.laneFor(msg.Src)
 		ln.mu.Lock()
-		ln.pushUnx(msg)
+		ln.insertUnx(msg)
 		ln.mu.Unlock()
 	}
+}
+
+// insertUnx files msg in sequence order among the queued sequenced
+// messages (unsequenced ones keep arrival order). Caller holds mu.
+func (ln *lane) insertUnx(msg Msg) {
+	at := len(ln.unx())
+	if msg.Seq != 0 {
+		for i, q := range ln.unx() {
+			if q.Seq > msg.Seq {
+				at = i
+				break
+			}
+		}
+	}
+	ln.pushUnx(msg) // grows the window by one (compacting may move it)
+	live := ln.unx()
+	copy(live[at+1:], live[at:len(live)-1])
+	live[at] = msg
 }
 
 // HarvestState snapshots the duplicate-suppression state for carry-over
