@@ -22,9 +22,11 @@ race:
 # properties, so the race detector runs the package's tests 20 times
 # each at three scheduler widths. The message log rides along: its
 # replay pin against the asynchronous trim (DESIGN.md §3c) is the same
-# kind of interleaving property.
+# kind of interleaving property. The checkpoint coders ride along too:
+# their ring forwards received frames through the transport uncopied,
+# so a frame's lifetime spans two endpoints (DESIGN.md §3k).
 soak-transport:
-	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -race -count=20 ./internal/transport ./internal/msglog || exit 1; done
+	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -race -count=20 ./internal/transport ./internal/msglog ./internal/ckpt || exit 1; done
 
 vet:
 	$(GO) vet ./...

@@ -78,7 +78,9 @@ func (XORRing) Encode(gc GroupComm, self, g int, data []byte, chunkLen int) ([]b
 // Reconstruct implements Coder: survivors run the decode ring and send
 // their resulting chunk of the lost checkpoint to the replacement,
 // which relays the ring (contributing nothing) and gathers the chunks
-// (paper Fig 11: decode + gather).
+// (paper Fig 11: decode + gather). The replacement's relay chain and
+// gather buffer come from gc's arena when it has one (Forwarder), so
+// the returned checkpoint is an arena buffer the caller may recycle.
 func (XORRing) Reconstruct(gc GroupComm, self, g int, lost []int, data, parity []byte, chunkLen int) ([]byte, error) {
 	if len(lost) != 1 {
 		return nil, fmt.Errorf("ckpt: xor ring repairs exactly one loss, got %d", len(lost))
@@ -90,25 +92,30 @@ func (XORRing) Reconstruct(gc GroupComm, self, g int, lost []int, data, parity [
 		if err != nil {
 			return nil, err
 		}
-		err = gc.Send(lostIdx, res)
-		if rel != nil {
-			rel.Release(res) // copied by the eager send
-		}
+		return nil, forward(gc, lostIdx, res)
+	}
+	zero := scratch(gc, chunkLen)
+	clear(zero)
+	relay, err := DecodeRing(gc, self, g, nil, chunkLen, zero, false)
+	if rel != nil {
+		rel.Release(zero) // sent (copied) on the relay's first hop
+	}
+	if err != nil {
 		return nil, err
 	}
-	if relay, err := DecodeRing(gc, self, g, nil, chunkLen, make([]byte, chunkLen), false); err != nil {
-		return nil, err
-	} else if rel != nil {
+	if rel != nil {
 		rel.Release(relay) // the replacement's ring result is discarded
 	}
-	out := make([]byte, (g-1)*chunkLen)
+	// Every byte is overwritten: the survivors' chunk indices cover
+	// 1..G-1 exactly once.
+	out := scratch(gc, (g-1)*chunkLen)
 	for i := 0; i < g; i++ {
 		if i == lostIdx {
 			continue
 		}
 		c, err := gc.Recv(i)
 		if err != nil {
-			return nil, err
+			return abandon(gc, out, err)
 		}
 		k := DecodeChunkIndex(lostIdx, i, g)
 		copy(out[(k-1)*chunkLen:], c)

@@ -153,20 +153,21 @@ func (c *RSGroup) Encode(gc GroupComm, self, g int, data []byte, chunkLen int) (
 			}
 		}
 	}
-	parity := make([]byte, m*chunkLen) // zeroed: the fold accumulator
+	parity := scratch(gc, m*chunkLen)
+	clear(parity) // the fold accumulator
 	for j := 0; j < m; j++ {
 		s := mod(self-j, g)
 		row := parity[j*chunkLen : (j+1)*chunkLen]
 		for l := 0; l < k; l++ {
 			b, err := gc.Recv((s + m + l) % g)
 			if err != nil {
-				return nil, err
+				return abandon(gc, parity, err)
 			}
 			if len(b) != chunkLen {
 				if rel != nil {
 					rel.Release(b)
 				}
-				return nil, fmt.Errorf("ckpt: rs encode: %d-byte shard, want %d", len(b), chunkLen)
+				return abandon(gc, parity, fmt.Errorf("ckpt: rs encode: %d-byte shard, want %d", len(b), chunkLen))
 			}
 			code.MulAddRowInto(j, l, b, row, c.workers)
 			if rel != nil {
@@ -253,7 +254,7 @@ func (c *RSGroup) Reconstruct(gc GroupComm, self, g int, lost []int, data, parit
 	// Replacement: gather the selected shards of each of my stripes and
 	// solve for my chunk — recovered directly into its slot of the
 	// rebuilt checkpoint (RecoverInto), no per-stripe scratch + copy.
-	out := make([]byte, k*chunkLen)
+	out := scratch(gc, k*chunkLen) // every stripe's chunk is recovered into it
 	shards := make([][]byte, k)
 	wantOne := make([]int, 1)
 	outOne := make([][]byte, 1)
@@ -261,18 +262,18 @@ func (c *RSGroup) Reconstruct(gc GroupComm, self, g int, lost []int, data, parit
 		s := mod(self-m-l, g)
 		sel := selectShards(s, g, m, k, lostSet)
 		if len(sel) < k {
-			return nil, fmt.Errorf("ckpt: stripe %d has only %d surviving shards, need %d", s, len(sel), k)
+			return abandon(gc, out, fmt.Errorf("ckpt: stripe %d has only %d surviving shards, need %d", s, len(sel), k))
 		}
 		for i, idx := range sel {
 			b, err := gc.Recv(shardOwner(s, idx, g, m, k))
 			if err != nil {
-				return nil, err
+				return abandon(gc, out, err)
 			}
 			if len(b) != chunkLen {
 				if rel != nil {
 					rel.Release(b)
 				}
-				return nil, fmt.Errorf("ckpt: rs reconstruct: %d-byte shard, want %d", len(b), chunkLen)
+				return abandon(gc, out, fmt.Errorf("ckpt: rs reconstruct: %d-byte shard, want %d", len(b), chunkLen))
 			}
 			shards[i] = b
 		}
@@ -285,7 +286,7 @@ func (c *RSGroup) Reconstruct(gc GroupComm, self, g int, lost []int, data, parit
 			}
 		}
 		if err != nil {
-			return nil, err
+			return abandon(gc, out, err)
 		}
 	}
 	return out, nil

@@ -92,24 +92,6 @@ func chunk(data []byte, chunkLen, k int) []byte {
 	return out
 }
 
-// chunkCopy returns a freshly-owned copy of chunk k (1-based) of
-// data, zero-padded to chunkLen. Unlike chunk it never aliases data —
-// the caller will mutate and send the buffer — and the full-chunk fast
-// path allocates via append, which skips the make-time zero fill that
-// a copy would immediately overwrite.
-func chunkCopy(data []byte, chunkLen, k int) []byte {
-	lo := (k - 1) * chunkLen
-	hi := lo + chunkLen
-	if lo < len(data) && hi <= len(data) {
-		return append([]byte(nil), data[lo:hi]...)
-	}
-	out := make([]byte, chunkLen)
-	if lo < len(data) {
-		copy(out, data[lo:])
-	}
-	return out
-}
-
 // xorChunkInto folds chunk k (1-based) of data into dst without
 // materialising a padded chunk: the zero padding is an XOR no-op, so
 // only the bytes data actually covers are touched. dst has length
@@ -183,7 +165,8 @@ func ReconstructLocal(data [][]byte, parity [][]byte, chunkLen, lost, size int) 
 
 // GroupComm abstracts the ring communication used by the distributed
 // encode/decode: Send and Recv address group-local peer indices. The
-// core runtime implements it over the FMI transport.
+// core runtime implements it over the FMI transport. Send is an eager
+// send: the caller may reuse data as soon as it returns.
 type GroupComm interface {
 	Send(peer int, data []byte) error
 	Recv(peer int) ([]byte, error)
@@ -198,101 +181,112 @@ type Releaser interface {
 	Release(buf []byte)
 }
 
+// Forwarder is optionally implemented by pooled GroupComms whose
+// transport can carry a buffer instead of copying it. The coders use
+// it to pass on a received chain they will not touch again — the
+// frame itself travels to the next hop — and to draw their scratch
+// buffers from the same arena Release returns to. Without it a chain
+// is sent (copied) and then released, and scratch is plain make.
+type Forwarder interface {
+	Releaser
+	// Get returns an uninitialised buffer of length n from the arena.
+	Get(n int) []byte
+	// Forward sends buf, a buffer that Recv or Get returned, to peer
+	// and gives it up: the caller must not touch it afterwards, whether
+	// or not Forward returns an error.
+	Forward(peer int, buf []byte) error
+}
+
+// forward passes a chain the caller is done with to peer: handed over
+// uncopied when gc can forward it, else sent and released.
+func forward(gc GroupComm, peer int, buf []byte) error {
+	if f, ok := gc.(Forwarder); ok {
+		return f.Forward(peer, buf)
+	}
+	err := gc.Send(peer, buf)
+	if rel, ok := gc.(Releaser); ok {
+		rel.Release(buf) // copied by the eager send
+	}
+	return err
+}
+
+// scratch returns an uninitialised buffer of length n, from gc's arena
+// when it has one.
+func scratch(gc GroupComm, n int) []byte {
+	if f, ok := gc.(Forwarder); ok {
+		return f.Get(n)
+	}
+	return make([]byte, n)
+}
+
+// abandon returns err after handing buf, a scratch buffer the failed
+// call will not return, back to gc's arena (if it has one).
+func abandon(gc GroupComm, buf []byte, err error) ([]byte, error) {
+	if rel, ok := gc.(Releaser); ok {
+		rel.Release(buf)
+	}
+	return nil, err
+}
+
 // EncodeRing runs the Fig 9 ring algorithm for one group member. It
 // returns this rank's stored parity chain. chunkLen must be agreed
 // group-wide (from the group's maximum checkpoint size).
 //
 // The first hop of the textbook walk exchanges all-zero chains: chain
 // c after step 1 is exactly rank c+1's chunk 1. So instead of
-// allocating a zeroed chain and sending it around, each member starts
-// from a copy of its own chunk 1 and runs steps 2..G-1 plus the final
-// rotation — one fewer exchange, no zero-fill, and one XOR pass
-// replaced by a plain copy. Every member must use the same variant
-// (all callers run EncodeRing group-wide, so they do).
+// allocating a zeroed chain and sending it around, each member sends
+// its own chunk 1 straight from data — the eager send copies it, so
+// no chain buffer is allocated — and runs steps 2..G-1 plus the final
+// rotation on the chains it receives, forwarding each one onwards.
+// Every member must use the same variant (all callers run EncodeRing
+// group-wide, so they do).
 func EncodeRing(gc GroupComm, self, g int, data []byte, chunkLen int) ([]byte, error) {
 	if g < 2 {
-		return ringPass(gc, self, g, data, chunkLen, make([]byte, chunkLen), true)
+		return ringWalk(gc, self, g, nil, chunkLen, make([]byte, chunkLen), 1)
 	}
-	rel, _ := gc.(Releaser)
-	right := (self + 1) % g
-	left := (self - 1 + g) % g
-	held := chunkCopy(data, chunkLen, 1)
-	for k := 2; k < g; k++ {
-		if err := gc.Send(right, held); err != nil {
-			return nil, err
-		}
-		recv, err := gc.Recv(left)
-		if err != nil {
-			return nil, err
-		}
-		if rel != nil {
-			rel.Release(held)
-		}
-		held = recv
-		xorChunkInto(held, data, chunkLen, k)
-	}
-	// Final rotation brings chain 'self' back to its storing rank.
-	if err := gc.Send(right, held); err != nil {
-		return nil, err
-	}
-	if rel != nil {
-		rel.Release(held)
-	}
-	return gc.Recv(left)
+	return ringWalk(gc, self, g, data, chunkLen, chunk(data, chunkLen, 1), 2)
 }
 
 // DecodeRing runs the same ring over the survivors: each member starts
 // from its stored parity chain and XORs its chunks back out; the lost
 // rank's chunks remain. Member i ends holding chunk ((lost-i) mod G)
-// of the lost checkpoint (the lost rank itself, passed hasData=false,
-// ends holding zeros). The caller then gathers the chunks to the
-// restarted rank.
+// of the lost checkpoint (the lost rank itself, passed hasData=false
+// and a zero chain, ends holding its own parity chain: the zeros
+// absorbed exactly the chunks that chain covers). The caller then
+// gathers the chunks to the restarted rank. storedParity is only read:
+// the first hop is sent from it directly.
 func DecodeRing(gc GroupComm, self, g int, data []byte, chunkLen int, storedParity []byte, hasData bool) ([]byte, error) {
-	start := make([]byte, chunkLen)
-	copy(start, storedParity)
 	if !hasData {
 		data = nil
 	}
-	return ringPass(gc, self, g, data, chunkLen, start, hasData)
+	return ringWalk(gc, self, g, data, chunkLen, chunk(storedParity, chunkLen, 1), 1)
 }
 
-// ringPass performs the shared ring walk: at step k (1..G-1) send the
-// held buffer right, receive from the left, and XOR own chunk k (if
-// contributing); the final step is a pure rotation returning chain
-// 'self' home.
+// ringWalk performs the shared ring walk. It sends first (a buffer the
+// caller keeps) right, then, for each step k from..G-1, receives a
+// chain from the left, folds chunk k of data into it (nil data folds
+// nothing) and forwards it right; the final receive is a pure rotation
+// returning chain 'self' home, and that chain is this member's.
 //
-// The walk is inherently pipelined — each XOR overlaps with the
-// neighbours' exchanges — and with a pooled GroupComm it is also
-// allocation-free: every received chain replaces the held buffer,
-// whose storage is handed straight back to the arena (the transport
-// copied it at Send), and contributions fold in via xorChunkInto, so
-// no padded chunk is ever materialised.
-func ringPass(gc GroupComm, self, g int, data []byte, chunkLen int, held []byte, contribute bool) ([]byte, error) {
-	rel, _ := gc.(Releaser)
+// Every chain after the first hop is a buffer the walk owns, so with a
+// Forwarder each one travels on uncopied, and with a pooled GroupComm
+// the walk allocates nothing. Contributions fold in via xorChunkInto,
+// so no padded chunk is materialised beyond a short first hop.
+func ringWalk(gc GroupComm, self, g int, data []byte, chunkLen int, first []byte, from int) ([]byte, error) {
 	right := (self + 1) % g
 	left := (self - 1 + g) % g
-	for k := 1; k < g; k++ {
-		if err := gc.Send(right, held); err != nil {
-			return nil, err
-		}
-		recv, err := gc.Recv(left)
+	if err := gc.Send(right, first); err != nil {
+		return nil, err
+	}
+	for k := from; k < g; k++ {
+		held, err := gc.Recv(left)
 		if err != nil {
 			return nil, err
 		}
-		if rel != nil {
-			rel.Release(held) // sent and copied; the old chain is dead
+		xorChunkInto(held, data, chunkLen, k)
+		if err := forward(gc, right, held); err != nil {
+			return nil, err
 		}
-		held = recv
-		if contribute {
-			xorChunkInto(held, data, chunkLen, k)
-		}
-	}
-	// Final rotation brings chain 'self' back to its storing rank.
-	if err := gc.Send(right, held); err != nil {
-		return nil, err
-	}
-	if rel != nil {
-		rel.Release(held)
 	}
 	return gc.Recv(left)
 }

@@ -38,6 +38,18 @@ func (gc *groupComm) Recv(peer int) ([]byte, error) {
 // a no-op.
 func (gc *groupComm) Release(buf []byte) { gc.p.pool.Put(buf) }
 
+// Get implements ckpt.Forwarder: coder scratch (the rebuild's relay
+// chain and gather buffer) comes from the shared arena.
+func (gc *groupComm) Get(n int) []byte { return gc.p.pool.Get(n) }
+
+// Forward implements ckpt.Forwarder: a ring chain the coder is done
+// with travels to the next hop as the frame it arrived in, not a copy
+// (in local mode the message log still keeps its own copy; in replica
+// mode the shadow of the pair gets one copy).
+func (gc *groupComm) Forward(peer int, buf []byte) error {
+	return gc.p.forwardRaw(gc.members[peer], ctxWorld, gc.tag, transport.KindCkpt, buf)
+}
+
 // groupMeta is exchanged within a group at encode time so any survivor
 // can brief a restarted member. In local mode it carries the sender's
 // serialized messaging state (replicated, not parity-encoded — see
@@ -115,9 +127,11 @@ type entryExt struct {
 	GroupMsgStates [][]byte
 	// pooledSnap/pooledParity mark buffers this runtime drew from the
 	// arena (or may safely donate to it): recycleEntry returns them when
-	// the entry retires. Entries rebuilt from reconstruction output or
-	// level-2 blobs are never flagged — their buffers alias larger
-	// allocations the pool must not adopt.
+	// the entry retires. A snapshot rebuilt by a group reconstruction is
+	// flagged too — it is a prefix of the coder's gather buffer, which
+	// the coder drew from the arena and nothing else holds. Entries
+	// restored from level-2 blobs are never flagged — their buffers
+	// alias larger allocations the pool must not adopt.
 	pooledSnap   bool
 	pooledParity bool
 }
@@ -358,8 +372,10 @@ func (p *Proc) checkpoint(id int, segs [][]byte) error {
 		encStart := time.Now()
 		parity, err := p.coder.Encode(&groupComm{p, group, tagCkptRing}, gi, g, snap.Data, chunkLen)
 		if err != nil {
-			// The transports copy at Send, so nothing aliases the pooled
-			// snapshot once Encode unwinds; recycle before abandoning.
+			// Encode sends from the snapshot only by copy (the transports
+			// copy an unowned payload at Send; only received chains are
+			// handed over), so nothing aliases the pooled snapshot once
+			// Encode unwinds; recycle before abandoning.
 			p.recycleEntry(entry)
 			return err
 		}

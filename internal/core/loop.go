@@ -544,8 +544,9 @@ func (p *Proc) groupRestore(group []int, gi int, infos []availInfo, restoreID in
 		L1Count:        b.L1Count,
 		ViewVersion:    p.viewVersion(),
 		GroupMsgStates: b.MsgStates,
-		// The rebuilt snapshot aliases the reconstruction buffer (never
-		// pooled); the re-encoded parity is pool-recyclable.
+		// The rebuilt snapshot is a prefix of the coder's arena gather
+		// buffer and the re-encoded parity an arena frame: both recycle.
+		pooledSnap:   p.pool != nil,
 		pooledParity: p.pool != nil,
 	}
 	if p.cfg.Local && gi < len(b.MsgStates) && len(b.MsgStates[gi]) > 0 {

@@ -12,22 +12,39 @@ import (
 // semantics) and are repaired by rollback — or, in local mode, by
 // replay from the sender-based message log: every data-plane send is
 // assigned a per-(sender, receiver) sequence number and a copy is
-// retained until a checkpoint commit acknowledges it.
+// retained until a checkpoint commit acknowledges it. The transport
+// copies payload, so the caller may reuse it at once.
 func (p *Proc) sendRaw(world int, ctx uint32, tag int32, kind byte, payload []byte) error {
+	return p.sendFrame(world, ctx, tag, kind, payload, false)
+}
+
+// forwardRaw is sendRaw for a payload that is an arena frame this rank
+// owns (a received ring chain, a buffer from p.pool): the transport
+// carries the frame itself instead of a copy and owns it from the call
+// on, whatever the outcome — the caller must not touch it afterwards.
+func (p *Proc) forwardRaw(world int, ctx uint32, tag int32, kind byte, payload []byte) error {
+	return p.sendFrame(world, ctx, tag, kind, payload, true)
+}
+
+// sendFrame is the one send path behind sendRaw and forwardRaw.
+func (p *Proc) sendFrame(world int, ctx uint32, tag int32, kind byte, payload []byte, owned bool) error {
 	if p.replicaOn() {
 		// Replica mode: resolve through the registry and mirror to both
 		// endpoints of the destination pair (replica.go).
-		return p.sendReplica(world, ctx, tag, kind, payload)
+		return p.sendReplica(world, ctx, tag, kind, payload, owned)
 	}
 	addr, err := p.addrOf(world)
 	if err != nil {
+		if owned {
+			p.pool.Put(payload)
+		}
 		return err
 	}
 	var seq uint64
 	if p.cfg.Local && p.seqActive && p.log != nil {
-		seq = p.log.Record(world, ctx, tag, kind, payload)
+		seq = p.log.Record(world, ctx, tag, kind, payload) // the log keeps its own copy
 	}
-	return p.gen.ep.Send(addr, transport.Msg{
+	msg := transport.Msg{
 		Src:   int32(p.rank),
 		Tag:   tag,
 		Ctx:   ctx,
@@ -36,7 +53,11 @@ func (p *Proc) sendRaw(world int, ctx uint32, tag int32, kind byte, payload []by
 		Seq:   seq,
 		Kind:  kind,
 		Data:  payload,
-	})
+	}
+	if owned {
+		msg.Handoff(p.pool)
+	}
+	return p.gen.ep.Send(addr, msg)
 }
 
 // recvRaw blocks for a matching message, aborting on failure

@@ -54,16 +54,23 @@ func (p *Proc) promotedSelf() bool {
 		p.cfg.Replica.PromotedSelf(p.rank, p.repInc)
 }
 
-// sendReplica is sendRaw's replica-mode path: one sequence number per
+// sendReplica is sendFrame's replica-mode path: one sequence number per
 // destination rank, the same Msg sent to both endpoints of the pair.
-// Transports copy the payload at Send, so the double send shares one
-// buffer safely.
-func (p *Proc) sendReplica(world int, ctx uint32, tag int32, kind byte, payload []byte) error {
+// Transports copy an unowned payload at Send, so the double send shares
+// one buffer safely; an owned frame goes to one endpoint as it is and
+// to the other as one copy.
+func (p *Proc) sendReplica(world int, ctx uint32, tag int32, kind byte, payload []byte, owned bool) error {
 	if world < 0 || world >= p.n {
+		if owned {
+			p.pool.Put(payload)
+		}
 		return fmt.Errorf("%w: %d", ErrInvalidRank, world)
 	}
 	prim, shad, inc, ok := p.cfg.Replica.LookupInc(world)
 	if !ok {
+		if owned {
+			p.pool.Put(payload)
+		}
 		if !p.cfg.Replica.Active() {
 			// A pair loss is degrading the job; the epoch bump that
 			// hands the failure to rollback recovery is on its way.
@@ -96,9 +103,20 @@ func (p *Proc) sendReplica(world int, ctx uint32, tag int32, kind byte, payload 
 		Kind:  kind,
 		Data:  payload,
 	}
+	mirror := msg
+	if owned {
+		// The primary takes the frame itself; the shadow's copy is made
+		// before the primary's Send, which may release the frame.
+		if shad != transport.NilAddr {
+			mirror.Data = p.pool.Get(len(payload))
+			copy(mirror.Data, payload)
+			mirror.Handoff(p.pool)
+		}
+		msg.Handoff(p.pool)
+	}
 	err := p.gen.ep.Send(prim, msg)
 	if shad != transport.NilAddr {
-		if err2 := p.gen.ep.Send(shad, msg); err == nil {
+		if err2 := p.gen.ep.Send(shad, mirror); err == nil {
 			err = err2
 		}
 	}

@@ -119,22 +119,20 @@ func (ep *chanEndpoint) isDead() bool {
 // destination death, or sender death.
 //
 // MPI eager-send semantics: the caller may reuse its buffer as soon as
-// Send returns, so the payload is copied here (on a real interconnect
-// the NIC has DMA'd the eager buffer by then).
+// Send returns, so an unowned payload is copied here (on a real
+// interconnect the NIC has DMA'd the eager buffer by then); a
+// handed-off frame is published as it is.
 func (ep *chanEndpoint) Send(to Addr, m Msg) error {
 	if ep.isDead() {
+		m.Release()
 		return ErrClosed
 	}
 	r := ep.route(to)
 	if r == nil {
+		m.Release()
 		return nil // silent drop
 	}
-	if len(m.Data) > 0 {
-		cp := ep.net.opts.Pool.Get(len(m.Data))
-		copy(cp, m.Data)
-		m.Data = cp
-		m.pool = ep.net.opts.Pool
-	}
+	m.own(ep.net.opts.Pool)
 	if ep.delayQ != nil {
 		// Simulated wire latency: queue for delivery MsgDelay from now.
 		// One goroutine drains the queue in send order, so per-pair
@@ -142,6 +140,9 @@ func (ep *chanEndpoint) Send(to Addr, m Msg) error {
 		// ~MsgDelay later) instead of serialising.
 		select {
 		case ep.delayQ <- delayedMsg{r: r, m: m, due: time.Now().Add(ep.net.opts.MsgDelay)}:
+			if ep.isDead() {
+				ep.drainDelayQ() // the loop may have drained and exited already
+			}
 			return nil
 		case <-ep.dead:
 			m.Release()

@@ -10,8 +10,9 @@ import (
 // power-of-two slot array with per-slot sequence counters (Vyukov's
 // bounded queue) and padded head/tail cursors so the producer and
 // consumer never share a cache line. Slots carry whole Msg values
-// whose payloads are bufpool copies, so a slot's ownership contract is
-// the arena's: the producer Gets at enqueue, whoever dequeues Releases
+// whose payloads are arena frames (a copy made at Send, or a frame the
+// sender handed off), so a slot's ownership contract is the arena's:
+// the frame is the ring's from enqueue, whoever dequeues Releases it
 // (or hands the frame on).
 //
 // The common case is strict SPSC — one rank sending, its peer

@@ -209,26 +209,32 @@ func (ep *tcpEndpoint) msgReadLoop(c net.Conn, peer Addr) {
 // Send queues m for the peer's message plane, dialing lazily. The
 // connection's writer goroutine encodes and flushes asynchronously,
 // one flush per gathered burst; write errors from dead peers tear the
-// connection down silently, matching PSM semantics. The payload is
-// copied into a pooled buffer at enqueue (eager-send: the caller may
-// reuse its buffer once Send returns).
+// connection down silently, matching PSM semantics. An unowned payload
+// is copied into a pooled buffer at enqueue (eager-send: the caller may
+// reuse its buffer once Send returns); a handed-off frame is queued as
+// it is.
 func (ep *tcpEndpoint) Send(to Addr, m Msg) error {
 	if ep.isDead() {
+		m.Release()
 		return ErrClosed
 	}
 	mc, err := ep.getMsgConn(to)
 	if err != nil {
+		m.Release()
 		return nil // unreachable: drop
 	}
-	if len(m.Data) > 0 {
-		cp := ep.opts.Pool.Get(len(m.Data))
-		copy(cp, m.Data)
-		m.Data = cp
-		m.pool = ep.opts.Pool
-	}
+	m.own(ep.opts.Pool)
 	mc.pending.Add(1)
 	select {
 	case mc.q <- m:
+		// A select with both cases ready picks at random, so the frame
+		// may have landed behind a writer that already drained and
+		// exited: drain again rather than strand it.
+		select {
+		case <-mc.dead:
+			mc.drainQ()
+		default:
+		}
 		return nil
 	case <-mc.dead:
 		m.Release() // connection died under us: drop

@@ -79,9 +79,29 @@ type Msg struct {
 
 	// pool, when non-nil, is the arena that owns Data. The transport
 	// stamps it on the frame copy it makes at Send (chan) or read
-	// (TCP); whoever consumes the message must end its lifecycle with
-	// exactly one Release (recycle) or Detach (keep the bytes).
+	// (TCP), or the sender stamps it with Handoff; whoever consumes the
+	// message must end its lifecycle with exactly one Release (recycle)
+	// or Detach (keep the bytes).
 	pool *bufpool.Arena
+}
+
+// Handoff marks m's payload as a buffer of pool that the sender owns
+// and gives up at Send: the transport then carries the buffer itself
+// instead of copying it, and takes ownership of it whatever Send
+// returns (see Endpoint.Send). A nil pool leaves m unowned, so Send
+// copies as usual.
+func (m *Msg) Handoff(pool *bufpool.Arena) { m.pool = pool }
+
+// own makes m's payload a frame the transport owns: a handed-off
+// payload already is one; any other is copied into a frame from pool.
+func (m *Msg) own(pool *bufpool.Arena) {
+	if m.pool != nil || len(m.Data) == 0 {
+		return
+	}
+	cp := pool.Get(len(m.Data))
+	copy(cp, m.Data)
+	m.Data = cp
+	m.pool = pool
 }
 
 // Release returns the message's pooled payload to its arena. Callers
@@ -177,6 +197,15 @@ type Endpoint interface {
 	// silently drops the message if the peer is dead or unknown
 	// (matching PSM semantics). It returns ErrClosed only if this
 	// endpoint itself is closed.
+	//
+	// Ownership: an unowned payload is copied into a frame from the
+	// arena (eager-send; the caller may reuse its buffer at once). A
+	// payload marked with Handoff is that frame already: it travels
+	// uncopied, and Send owns it from the call on — every drop path
+	// (dead or unknown peer, closed endpoint, dead connection,
+	// latency queue) Releases it, and a delivered frame is the
+	// receiver's to Release or Detach. The caller must not touch a
+	// handed-off buffer after Send.
 	Send(to Addr, m Msg) error
 	// Bell, Pump and AddWaiter are the receive side; the endpoint's
 	// Matcher is the intended (single) consumer. Bell is a 1-slot

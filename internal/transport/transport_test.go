@@ -487,9 +487,11 @@ func TestSymmetricFloodBeforeReceive(t *testing.T) {
 
 // TestMsgDelayThroughRing checks the simulated wire: every message
 // reaches the matcher no earlier than MsgDelay after its send, the
-// pair stays FIFO, and a burst pipelines instead of serialising.
+// pair stays FIFO, and a burst pipelines instead of serialising. The
+// delay is long next to the cost of 50 sends, so "Send does not wait
+// out the delay" holds with margin on a loaded machine under -race.
 func TestMsgDelayThroughRing(t *testing.T) {
-	const delay, n = 5 * time.Millisecond, 50
+	const delay, n = 25 * time.Millisecond, 50
 	nw := NewChanNetwork(Options{MsgDelay: delay})
 	a, _ := nw.NewEndpoint(nil)
 	defer a.Close()
