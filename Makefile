@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build test race soak-transport vet lint bench-erasure bench-smoke bench-hotpath bench-serve bench-recovery bench-reconfig all
+.PHONY: tier1 build test race soak-transport vet lint bench-erasure bench-smoke all
 
 all: tier1 vet lint
 
@@ -44,34 +44,6 @@ lint:
 
 bench-erasure:
 	$(GO) test -bench Erasure -benchtime 1x ./internal/erasure/ ./internal/ckpt/
-
-# Hot-path allocation benchmark: allocs/op, B/op, ns/op for the pooled
-# transport/pack/checkpoint paths vs pooling off, written to
-# BENCH_hotpath.json (the checked-in copy documents the win).
-bench-hotpath:
-	$(GO) run ./cmd/fmibench -out BENCH_hotpath.json hotpath
-
-# Multi-tenant job-service benchmark: per-tenant p50/p99 submit-to-
-# complete latency with Poisson kills aimed at the noisy tenants vs a
-# failure-free baseline, written to BENCH_serve.json (the checked-in
-# copy documents the cross-tenant isolation).
-bench-serve:
-	$(GO) run ./cmd/fmibench -out BENCH_serve.json serve
-
-# Recovery-frontier benchmark: global rollback vs local replay vs
-# primary/shadow replication on one allreduce workload, failure-free
-# and with one primary-node kill, written to BENCH_recovery.json (the
-# checked-in copy documents replica's no-rollback promotion latency).
-bench-recovery:
-	$(GO) run ./cmd/fmibench -out BENCH_recovery.json recovery-frontier
-
-# Online-reconfiguration benchmark: grow and shrink an elastic job
-# through the quiescent resize fence under all three recovery
-# protocols, against the restart floor (a fresh single-iteration job at
-# the target size), written to BENCH_reconfig.json (the checked-in copy
-# documents resize committing well below even a bare relaunch).
-bench-reconfig:
-	$(GO) run ./cmd/fmibench -out BENCH_reconfig.json reconfig
 
 # One pass over every benchmark as a smoke test (CI runs this; real
 # measurements want more iterations and an idle machine).

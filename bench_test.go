@@ -7,7 +7,6 @@ package fmi_test
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -245,42 +244,5 @@ func BenchmarkRunThroughFailure(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- Collective schedules (ISSUE 3): op × algorithm × size × ranks.
-// Each iteration runs a full job that times the forced algorithm on
-// the free (zero-latency) substrate; the reported metric is the mean
-// per-operation latency. fmibench coll runs the same cells with a
-// simulated wire latency, where round counts dominate instead of
-// per-message CPU.
-
-func BenchmarkCollectives(b *testing.B) {
-	cells := []struct {
-		op, algo     string
-		ranks, bytes int
-	}{
-		{"allreduce", "tree", 8, 1 << 10},
-		{"allreduce", "rec-dbl", 8, 1 << 10},
-		{"allreduce", "rec-dbl", 16, 1 << 10},
-		{"allreduce", "ring", 8, 256 << 10},
-		{"allreduce", "ring", 16, 256 << 10},
-		{"allgather", "rec-dbl", 8, 8 << 10},
-		{"allgather", "ring", 8, 8 << 10},
-		{"alltoall", "bruck", 8, 1 << 10},
-		{"alltoall", "pairwise", 8, 64 << 10},
-		{"bcast", "binomial", 8, 64 << 10},
-		{"barrier", "rec-dbl", 16, 0},
-	}
-	for _, c := range cells {
-		b.Run(fmt.Sprintf("%s-%s-n%d-%dB", c.op, c.algo, c.ranks, c.bytes), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				per, err := experiments.MeasureColl(c.op, c.algo, c.ranks, c.bytes, 4, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(per.Nanoseconds())/1e3, "per-op-us")
-			}
-		})
 	}
 }

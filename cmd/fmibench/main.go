@@ -10,8 +10,10 @@
 //	fmibench [flags] <experiment>
 //
 // Experiments: table3, fig10, fig11, fig12, fig13, fig14, fig15,
-// fig15-sweep, ablate-k, ablate-group, erasure, msglog, coll, hotpath,
-// serve, recovery-frontier, reconfig, all.
+// fig15-sweep, ablate-k, ablate-group, erasure, msglog, all.
+//
+// The benchmark of record (messaging, checkpoint and recovery end to
+// end, with a per-layer budget) is bench/; see bench/README.md.
 package main
 
 import (
@@ -34,12 +36,10 @@ func main() {
 		grid     = flag.Int("grid", 0, "fig 15 grid first dimension (0 = calibrated default)")
 		mtbf     = flag.Duration("mtbf", 0, "fig 15 MTBF (0 = calibrated default; paper used 1 minute at Sierra scale)")
 		quick    = flag.Bool("quick", false, "shrink every sweep for a fast smoke run")
-		netDelay = flag.Duration("netdelay", 50*time.Microsecond, "simulated per-message wire latency for the coll sweep")
-		outPath  = flag.String("out", "", "write the hotpath results as JSON to this file")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: fmibench [flags] <table3|fig10|fig11|fig12|fig13|fig14|fig15|fig15-sweep|ablate-k|ablate-group|erasure|msglog|coll|hotpath|serve|recovery-frontier|reconfig|all>")
+		fmt.Fprintln(os.Stderr, "usage: fmibench [flags] <table3|fig10|fig11|fig12|fig13|fig14|fig15|fig15-sweep|ablate-k|ablate-group|erasure|msglog|all>")
 		os.Exit(2)
 	}
 	which := flag.Arg(0)
@@ -138,24 +138,6 @@ func main() {
 		case "ablate-group":
 			rows := experiments.AblateGroup(1024, groupSweep)
 			experiments.PrintAblateGroup(os.Stdout, 1024, rows)
-		case "coll":
-			// Schedule-driven collective engine (ISSUE 3): op ×
-			// algorithm × payload-size sweep. The headline check is
-			// ring allreduce beating the legacy reduce+bcast tree at
-			// >= 1 MiB payloads while recursive doubling holds the
-			// small-payload end. The simulated wire latency (-netdelay)
-			// is what lets round counts matter: with free delivery the
-			// in-process substrate only bills per-message CPU, which
-			// always favours the minimum-message tree.
-			cranks, citers := 16, 32
-			sizes := []int{1 << 10, 64 << 10, 1 << 20}
-			if *quick {
-				cranks, citers = 8, 8
-				sizes = []int{1 << 10, 256 << 10}
-			}
-			rows, err := experiments.CollSweep(cranks, sizes, citers, *netDelay)
-			fatalIf(err)
-			experiments.PrintColl(os.Stdout, cranks, *netDelay, rows)
 		case "msglog":
 			// Sender-based message logging (§VIII extension): failure-free
 			// logging overhead and the survivor rework that localized
@@ -167,83 +149,6 @@ func main() {
 			rows, err := experiments.MsgLog(rc, it, iv)
 			fatalIf(err)
 			experiments.PrintMsgLog(os.Stdout, it, iv, rows)
-		case "hotpath":
-			// Zero-allocation hot paths: allocs/op for the transport
-			// send/recv roundtrip, collective packing, and checkpoint
-			// capture+encode, pooled arena on vs off.
-			hcfg := experiments.DefaultHotpathConfig()
-			if *quick {
-				hcfg.CkptBytesPerRank = 256 << 10
-			}
-			rows, err := experiments.HotpathSweep(hcfg)
-			fatalIf(err)
-			experiments.PrintHotpath(os.Stdout, hcfg, rows)
-			if *outPath != "" {
-				doc, err := experiments.HotpathJSON(hcfg, rows)
-				fatalIf(err)
-				fatalIf(os.WriteFile(*outPath, doc, 0o644))
-			}
-		case "serve":
-			// Multi-tenant job service (ISSUE 6): N tenants x M jobs on
-			// one shared cluster + spare pool, Poisson kills aimed at
-			// the noisy tenants, p50/p99 submit-to-complete latency per
-			// tenant against a failure-free baseline. The headline is
-			// the quiet tenant's p99 inflation — how much recovery
-			// traffic bleeds across tenants.
-			scfg := experiments.DefaultServeExpConfig()
-			if *quick {
-				scfg.Tenants, scfg.JobsPerTenant = 2, 3
-				scfg.Iters, scfg.StepMs = 5, 5
-				// Short jobs need a hotter injector for kills to land
-				// inside the run window.
-				scfg.FailureRate = 50
-			}
-			sres, err := experiments.ServeExp(scfg)
-			fatalIf(err)
-			experiments.PrintServeExp(os.Stdout, scfg, sres)
-			if *outPath != "" {
-				doc, err := experiments.ServeExpJSON(scfg, sres)
-				fatalIf(err)
-				fatalIf(os.WriteFile(*outPath, doc, 0o644))
-			}
-		case "recovery-frontier":
-			// Recovery frontier (ISSUE 7): the same allreduce job under
-			// global rollback, local replay, and primary/shadow
-			// replication, failure-free and with one primary-node kill.
-			// The headline is replica's recovery latency (promotion, no
-			// rollback) sitting below both rollback protocols, with the
-			// 2x node footprint and mirrored-send overhead alongside.
-			rcfg := experiments.DefaultRecoveryConfig()
-			if *quick {
-				rcfg = experiments.QuickRecoveryConfig()
-			}
-			rrows, err := experiments.RecoveryFrontier(rcfg)
-			fatalIf(err)
-			experiments.PrintRecovery(os.Stdout, rcfg, rrows)
-			if *outPath != "" {
-				doc, err := experiments.RecoveryJSON(rcfg, rrows)
-				fatalIf(err)
-				fatalIf(os.WriteFile(*outPath, doc, 0o644))
-			}
-		case "reconfig":
-			// Online reconfiguration (ISSUE 8): an elastic job grows and
-			// shrinks through the quiescent resize fence under each
-			// recovery protocol. The headline is the resize latency
-			// sitting below even the restart floor — a single-iteration
-			// relaunch at the target size — before the restart pays any
-			// checkpoint replay.
-			gcfg := experiments.DefaultReconfigConfig()
-			if *quick {
-				gcfg = experiments.QuickReconfigConfig()
-			}
-			grows, err := experiments.ReconfigSweep(gcfg)
-			fatalIf(err)
-			experiments.PrintReconfig(os.Stdout, gcfg, grows)
-			if *outPath != "" {
-				doc, err := experiments.ReconfigJSON(gcfg, grows)
-				fatalIf(err)
-				fatalIf(os.WriteFile(*outPath, doc, 0o644))
-			}
 		case "erasure":
 			// Redundancy sweep (§VIII extension): ring-XOR m=1 against
 			// RS(k,m) for m in {2,3} over one group, then the raw
@@ -267,7 +172,7 @@ func main() {
 	}
 
 	if which == "all" {
-		for _, name := range []string{"table3", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "ablate-k", "ablate-group", "erasure", "msglog", "coll", "hotpath", "serve", "recovery-frontier", "reconfig"} {
+		for _, name := range []string{"table3", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "ablate-k", "ablate-group", "erasure", "msglog"} {
 			run(name)
 		}
 		return

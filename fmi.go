@@ -218,13 +218,6 @@ type Config struct {
 	// PropDelay models observation of an explicit connection close
 	// (log-ring propagation hop).
 	PropDelay time.Duration
-	// NetDelay is a simulated one-way per-message delivery latency on
-	// the chan transport (0 = instant, the default). The in-process
-	// substrate otherwise delivers for free, which hides the round-count
-	// differences the collective algorithms trade on; benchmarks set
-	// this to model an interconnect's latency term. Ignored by the TCP
-	// transport, which has real latency.
-	NetDelay time.Duration
 	// Faults optionally injects failures.
 	Faults *FaultPlan
 	// Timeout aborts a wedged run (0 = none).
@@ -413,7 +406,6 @@ func Run(cfg Config, app App) (*Report, error) {
 	opts := transport.Options{
 		DetectDelay: cfg.DetectDelay,
 		PropDelay:   cfg.PropDelay,
-		MsgDelay:    cfg.NetDelay,
 		Pool:        pool,
 		Endpoints:   cfg.Ranks,
 	}

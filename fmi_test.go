@@ -364,14 +364,16 @@ func TestVaidyaAutoTuneThroughPublicAPI(t *testing.T) {
 
 func TestMultilevelThroughPublicAPI(t *testing.T) {
 	// Level-2 enabled via the public config: two nodes of the same
-	// XOR group die at once and the job still completes exactly.
+	// XOR group die at once and the job still completes exactly. The
+	// two kills are one correlated event: as two scripted faults they
+	// can land in different recovery epochs under load, and each lost
+	// node is then rebuildable from level 1.
 	var results sync.Map
 	cfg := fastCfg(4, 1, 3, 2)
 	cfg.Level2Every = 1
 	cfg.MaxEpochs = 32
 	cfg.Faults = &FaultPlan{Script: []Fault{
-		{AfterLoop: 4, Node: 0},
-		{AfterLoop: 4, Node: 1},
+		{AfterLoop: 4, Node: 0, CorrelatedNodes: []int{1}},
 	}}
 	rep, err := Run(cfg, iterApp(10, &results))
 	if err != nil {

@@ -25,6 +25,11 @@ type Cluster struct {
 
 	failSubs []func(*Node) // invoked (synchronously) on node failure
 	killSubs []func(*Proc) // invoked (synchronously) on process death
+
+	// event is held for writing while a fault event fails its nodes;
+	// Node.Settle takes it for reading, so an observer that settles
+	// before acting never sees part of a correlated event.
+	event sync.RWMutex
 }
 
 // New creates a cluster with n healthy nodes named node0..node{n-1}.
@@ -180,24 +185,51 @@ func (n *Node) Procs() []*Proc {
 
 // Fail kills the node: all resident processes die and the node is
 // marked failed. Idempotent.
-func (n *Node) Fail() {
-	n.mu.Lock()
-	if n.failed {
-		n.mu.Unlock()
-		return
-	}
-	n.failed = true
-	close(n.killCh)
-	procs := make([]*Proc, 0, len(n.procs))
-	for _, p := range n.procs {
-		procs = append(procs, p)
-	}
-	n.mu.Unlock()
+func (n *Node) Fail() { n.cluster.FailNodes([]*Node{n}) }
 
-	for _, p := range procs {
-		p.Kill()
+// FailNodes fails the nodes in one event: every resident process of
+// every node is dead before an observer that calls Settle can act, and
+// the failure callbacks run once the whole event is done. Nodes that
+// already failed are skipped.
+func (c *Cluster) FailNodes(nds []*Node) {
+	var failed []*Node
+	var died []*Proc
+	c.event.Lock()
+	for _, n := range nds {
+		n.mu.Lock()
+		if n.failed {
+			n.mu.Unlock()
+			continue
+		}
+		n.failed = true
+		close(n.killCh)
+		procs := make([]*Proc, 0, len(n.procs))
+		for _, p := range n.procs {
+			procs = append(procs, p)
+		}
+		n.mu.Unlock()
+		for _, p := range procs {
+			if p.kill() {
+				died = append(died, p)
+			}
+		}
+		failed = append(failed, n)
 	}
-	n.cluster.notifyNodeFailure(n)
+	c.event.Unlock()
+	for _, p := range died {
+		c.notifyProcDeath(p)
+	}
+	for _, n := range failed {
+		c.notifyNodeFailure(n)
+	}
+}
+
+// Settle returns once no fault event is failing nodes. A failure
+// observer calls it before acting, so a correlated fault reaches it
+// whole: every node of the event has failed.
+func (n *Node) Settle() {
+	n.cluster.event.RLock()
+	n.cluster.event.RUnlock()
 }
 
 func (n *Node) removeProc(p *Proc) {
@@ -242,11 +274,19 @@ func (p *Proc) Killed() bool {
 
 // Kill terminates the process abruptly (SIGKILL analogue). Idempotent.
 func (p *Proc) Kill() {
+	if p.kill() {
+		p.node.cluster.notifyProcDeath(p)
+	}
+}
+
+// kill closes KillCh and reports whether this call did it.
+func (p *Proc) kill() (first bool) {
 	p.killOnce.Do(func() {
 		close(p.killCh)
 		p.node.removeProc(p)
-		p.node.cluster.notifyProcDeath(p)
+		first = true
 	})
+	return first
 }
 
 // Exit records a voluntary exit with the given error (nil for

@@ -207,9 +207,7 @@ func (in *Injector) fire(f Fault) {
 	}
 	// All victims of a correlated fault drop in the same event, before
 	// any detection or recovery can run.
-	for _, nd := range victims {
-		nd.Fail()
-	}
+	in.c.FailNodes(victims)
 }
 
 // resolve maps a fault to its distinct, still-alive victim nodes: the

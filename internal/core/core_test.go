@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"fmi/internal/bootstrap"
+	"fmi/internal/coll"
 	"fmi/internal/transport"
 )
 
@@ -107,6 +108,12 @@ func (f *fakeCtl) Abort(err error) {
 // returning per-rank errors.
 func world(t *testing.T, n int, fn func(p *Proc) error) []error {
 	t.Helper()
+	return worldPolicy(t, n, coll.Policy{}, fn)
+}
+
+// worldPolicy is world with the collective algorithms selected by pol.
+func worldPolicy(t *testing.T, n int, pol coll.Policy, fn func(p *Proc) error) []error {
+	t.Helper()
 	nw := transport.NewChanNetwork(transport.Options{})
 	ctl := newFakeCtl()
 	errs := make([]error, n)
@@ -123,7 +130,7 @@ func world(t *testing.T, n int, fn func(p *Proc) error) []error {
 			p, err := Init(Config{
 				Rank: i, N: n, ProcsPerNode: 1, GroupSize: 4,
 				Interval: 1 << 30, Network: nw, Ctl: ctl,
-				KillCh: make(chan struct{}),
+				KillCh: make(chan struct{}), Coll: pol,
 			})
 			if err != nil {
 				errs[i] = err
@@ -192,109 +199,130 @@ func TestCollectivesPostLoop(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 7, 8} {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			errs := world(t, n, func(p *Proc) error {
-				state := make([]byte, 1)
-				p.Loop([][]byte{state}) // switch to the data plane
-				w := p.World()
-
-				// Allreduce: sum of ranks.
-				out, err := w.Allreduce(enc64(int64(p.Rank())), sum64)
-				if err != nil {
-					return err
-				}
-				want := int64(n * (n - 1) / 2)
-				if got := int64(leU64(out)); got != want {
-					return fmt.Errorf("allreduce = %d, want %d", got, want)
-				}
-
-				// Bcast from the last rank.
-				var payload []byte
-				if p.Rank() == n-1 {
-					payload = []byte{0xCD}
-				}
-				b, err := w.Bcast(n-1, payload)
-				if err != nil {
-					return err
-				}
-				if len(b) != 1 || b[0] != 0xCD {
-					return fmt.Errorf("bcast got %v", b)
-				}
-
-				// Reduce to rank 0.
-				r, err := w.Reduce(0, enc64(2), sum64)
-				if err != nil {
-					return err
-				}
-				if p.Rank() == 0 {
-					if got := int64(leU64(r)); got != int64(2*n) {
-						return fmt.Errorf("reduce = %d", got)
-					}
-				} else if r != nil {
-					return fmt.Errorf("non-root got reduce result")
-				}
-
-				// Gather at rank 0, sizes varying by rank.
-				g, err := w.Gather(0, bytes.Repeat([]byte{byte(p.Rank())}, p.Rank()+1))
-				if err != nil {
-					return err
-				}
-				if p.Rank() == 0 {
-					for r := 0; r < n; r++ {
-						if len(g[r]) != r+1 || (r > 0 && g[r][0] != byte(r)) {
-							return fmt.Errorf("gather slot %d = %v", r, g[r])
-						}
-					}
-				}
-
-				// Allgather.
-				ag, err := w.Allgather([]byte{byte(p.Rank() * 3)})
-				if err != nil {
-					return err
-				}
-				for r := 0; r < n; r++ {
-					if ag[r][0] != byte(r*3) {
-						return fmt.Errorf("allgather slot %d = %v", r, ag[r])
-					}
-				}
-
-				// Scatter from rank 0.
-				var parts [][]byte
-				if p.Rank() == 0 {
-					for r := 0; r < n; r++ {
-						parts = append(parts, []byte{byte(100 + r)})
-					}
-				}
-				sc, err := w.Scatter(0, parts)
-				if err != nil {
-					return err
-				}
-				if sc[0] != byte(100+p.Rank()) {
-					return fmt.Errorf("scatter = %v", sc)
-				}
-
-				// Alltoall: rank i sends i*10+j to rank j.
-				parts = nil
-				for j := 0; j < n; j++ {
-					parts = append(parts, []byte{byte(p.Rank()*10 + j)})
-				}
-				aa, err := w.Alltoall(parts)
-				if err != nil {
-					return err
-				}
-				for src := 0; src < n; src++ {
-					if aa[src][0] != byte(src*10+p.Rank()) {
-						return fmt.Errorf("alltoall from %d = %v", src, aa[src])
-					}
-				}
-
-				// Barrier just completes.
-				if err := w.Barrier(); err != nil {
-					return err
-				}
-				return p.Finalize()
-			})
-			checkErrs(t, errs)
+			// The automatic policy, then every schedule family forced
+			// (a forced rec-dbl allgather falls back to the ring off
+			// powers of two). The ring allreduce splits the 8-byte
+			// payload into byte chunks that sum64 cannot add; it is
+			// forced with n-lane payloads by the root package's
+			// mid-collective kill tests.
+			for _, pol := range []coll.Policy{
+				{},
+				{Allreduce: coll.AlgoTree, Allgather: coll.AlgoRecDbl, Barrier: coll.AlgoRecDbl, Alltoall: coll.AlgoPairwise, Bcast: coll.AlgoBinomial},
+				{Allreduce: coll.AlgoRecDbl, Allgather: coll.AlgoRing, Alltoall: coll.AlgoBruck},
+			} {
+				collectivesPostLoop(t, n, pol)
+			}
 		})
+	}
+}
+
+func collectivesPostLoop(t *testing.T, n int, pol coll.Policy) {
+	t.Helper()
+	errs := worldPolicy(t, n, pol, func(p *Proc) error {
+		state := make([]byte, 1)
+		p.Loop([][]byte{state}) // switch to the data plane
+		w := p.World()
+
+		// Allreduce: sum of ranks.
+		out, err := w.Allreduce(enc64(int64(p.Rank())), sum64)
+		if err != nil {
+			return err
+		}
+		want := int64(n * (n - 1) / 2)
+		if got := int64(leU64(out)); got != want {
+			return fmt.Errorf("allreduce = %d, want %d", got, want)
+		}
+
+		// Bcast from the last rank.
+		var payload []byte
+		if p.Rank() == n-1 {
+			payload = []byte{0xCD}
+		}
+		b, err := w.Bcast(n-1, payload)
+		if err != nil {
+			return err
+		}
+		if len(b) != 1 || b[0] != 0xCD {
+			return fmt.Errorf("bcast got %v", b)
+		}
+
+		// Reduce to rank 0.
+		r, err := w.Reduce(0, enc64(2), sum64)
+		if err != nil {
+			return err
+		}
+		if p.Rank() == 0 {
+			if got := int64(leU64(r)); got != int64(2*n) {
+				return fmt.Errorf("reduce = %d", got)
+			}
+		} else if r != nil {
+			return fmt.Errorf("non-root got reduce result")
+		}
+
+		// Gather at rank 0, sizes varying by rank.
+		g, err := w.Gather(0, bytes.Repeat([]byte{byte(p.Rank())}, p.Rank()+1))
+		if err != nil {
+			return err
+		}
+		if p.Rank() == 0 {
+			for r := 0; r < n; r++ {
+				if len(g[r]) != r+1 || (r > 0 && g[r][0] != byte(r)) {
+					return fmt.Errorf("gather slot %d = %v", r, g[r])
+				}
+			}
+		}
+
+		// Allgather.
+		ag, err := w.Allgather([]byte{byte(p.Rank() * 3)})
+		if err != nil {
+			return err
+		}
+		for r := 0; r < n; r++ {
+			if ag[r][0] != byte(r*3) {
+				return fmt.Errorf("allgather slot %d = %v", r, ag[r])
+			}
+		}
+
+		// Scatter from rank 0.
+		var parts [][]byte
+		if p.Rank() == 0 {
+			for r := 0; r < n; r++ {
+				parts = append(parts, []byte{byte(100 + r)})
+			}
+		}
+		sc, err := w.Scatter(0, parts)
+		if err != nil {
+			return err
+		}
+		if sc[0] != byte(100+p.Rank()) {
+			return fmt.Errorf("scatter = %v", sc)
+		}
+
+		// Alltoall: rank i sends i*10+j to rank j.
+		parts = nil
+		for j := 0; j < n; j++ {
+			parts = append(parts, []byte{byte(p.Rank()*10 + j)})
+		}
+		aa, err := w.Alltoall(parts)
+		if err != nil {
+			return err
+		}
+		for src := 0; src < n; src++ {
+			if aa[src][0] != byte(src*10+p.Rank()) {
+				return fmt.Errorf("alltoall from %d = %v", src, aa[src])
+			}
+		}
+
+		// Barrier just completes.
+		if err := w.Barrier(); err != nil {
+			return err
+		}
+		return p.Finalize()
+	})
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("policy %+v: rank %d: %v", pol, r, err)
+		}
 	}
 }
 

@@ -29,6 +29,10 @@ func (p *Proc) Loop(segs [][]byte) int {
 	}
 	p.ranLoop = true
 	for {
+		// Every pass re-checks for a kill: a killed process's failed
+		// checkpoint (its generation's cancel channel is closed) would
+		// otherwise retry here forever.
+		p.checkAlive()
 		if p.gen.failed() {
 			p.recover()
 			continue

@@ -246,10 +246,13 @@ func (p *Proc) checkAlive() {
 }
 
 // die unwinds the goroutine of a killed process. The process's memory
-// would vanish with it, so what it holds in the job's arena goes back
-// first.
+// and threads would vanish with it, so what it holds in the job's arena
+// goes back and its ring's watchers stop first.
 func (p *Proc) die() {
 	p.releaseLog()
+	if p.gen != nil && p.gen.ring != nil {
+		p.gen.ring.Abandon()
+	}
 	panic(procKilledPanic{})
 }
 

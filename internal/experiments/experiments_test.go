@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -172,11 +173,41 @@ func TestFig15Small(t *testing.T) {
 	if byName["FMI + C"].Checkpoints == 0 {
 		t.Fatal("FMI + C took no checkpoints")
 	}
-	if byName["FMI + C/R"].Failures == 0 {
-		t.Fatal("FMI + C/R saw no failures (increase run length or rate)")
+	checkCR := func(r Fig15Row) {
+		t.Helper()
+		if r.Failures == 0 {
+			t.Fatal("FMI + C/R saw no failures (increase run length or rate)")
+		}
+		if r.Recoveries < r.Failures {
+			t.Fatalf("FMI + C/R recovered %d times from %d failures", r.Recoveries, r.Failures)
+		}
 	}
-	if byName["FMI + C/R"].GFLOPS > byName["FMI"].GFLOPS {
-		t.Fatal("running through failures should not be faster than failure-free")
+	checkCR(byName["FMI + C/R"])
+	// Running through failures is not faster than failure-free. On a
+	// loaded 2-core machine one ~0.1 s job's wall time moves by tens of
+	// percent between runs, about what the checkpoints and the two
+	// scripted failures cost, so one sample of each series cannot show
+	// it: compare the medians of alternated runs at the figure's
+	// checkpoint interval. Medians of 9 still flipped in a few percent
+	// of runs beside a second test process.
+	const runs = 15
+	interval := byName["FMI + C/R"].Interval
+	free, failing := []float64{byName["FMI"].GFLOPS}, []float64{byName["FMI + C/R"].GFLOPS}
+	for len(free) < runs {
+		ff, err := runFMI(c, 1<<30, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cr, err := runFMI(c, interval, c.crFaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCR(cr)
+		free, failing = append(free, ff.GFLOPS), append(failing, cr.GFLOPS)
+	}
+	if mf, mc := median(free), median(failing); mc > mf {
+		t.Fatalf("running through failures should not be faster than failure-free: median GFLOPS %.3f with failures vs %.3f without (%v vs %v)",
+			mc, mf, failing, free)
 	}
 	var buf bytes.Buffer
 	PrintFig15(&buf, c, rows)
@@ -319,41 +350,14 @@ func TestAblateK(t *testing.T) {
 	}
 }
 
-func TestServeExpSmall(t *testing.T) {
-	cfg := DefaultServeExpConfig()
-	cfg.Tenants, cfg.JobsPerTenant = 2, 2
-	cfg.Iters, cfg.StepMs = 4, 5
-	cfg.FailureRate = 20
-	res, err := ServeExp(cfg)
-	if err != nil {
-		t.Fatal(err)
+// median returns the middle value of xs (the mean of the two middle
+// values for an even count).
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
 	}
-	for _, pass := range [][]ServeTenantRow{res.Baseline, res.Faulted} {
-		if len(pass) != cfg.Tenants {
-			t.Fatalf("pass has %d rows, want %d", len(pass), cfg.Tenants)
-		}
-		for _, row := range pass {
-			if row.Jobs != cfg.JobsPerTenant || row.Failed != 0 {
-				t.Fatalf("tenant %s: %+v, want %d clean jobs", row.Tenant, row, cfg.JobsPerTenant)
-			}
-			if row.P50Ms <= 0 || row.P99Ms < row.P50Ms {
-				t.Fatalf("tenant %s: bad percentiles %+v", row.Tenant, row)
-			}
-		}
-	}
-	if quiet := res.Faulted[cfg.Tenants-1]; quiet.Noisy || quiet.Epochs != 0 {
-		t.Fatalf("quiet tenant saw recovery traffic: %+v", quiet)
-	}
-	doc, err := ServeExpJSON(cfg, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(doc, []byte(`"quiet_p99_inflation"`)) {
-		t.Fatalf("JSON missing interference field:\n%s", doc)
-	}
-	var buf bytes.Buffer
-	PrintServeExp(&buf, cfg, res)
-	if !strings.Contains(buf.String(), "quiet-tenant p99 inflation") {
-		t.Fatalf("printer output missing headline:\n%s", buf.String())
-	}
+	return (s[n/2-1] + s[n/2]) / 2
 }

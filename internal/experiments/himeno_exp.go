@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"fmi"
@@ -97,6 +98,9 @@ func runFMI(c Fig15Config, interval int, faults *fmi.FaultPlan) (Fig15Row, error
 		DetectDelay: c.DetectDelay, PropDelay: c.PropDelay,
 		Faults: faults, Timeout: c.Timeout,
 	}
+	// Start from a collected heap: the previous series' garbage is not
+	// this one's cost.
+	runtime.GC()
 	start := time.Now()
 	rep, err := fmi.Run(cfg, fmiApp(c))
 	if err != nil {
@@ -124,6 +128,7 @@ func runMPI(c Fig15Config, interval int) (Fig15Row, error) {
 		Ranks: c.Ranks, ProcsPerNode: c.ProcsPerNode, SpareNodes: c.Spares,
 		GroupSize: 4, LocalModel: pfs.SierraTmpfs(), Timeout: c.Timeout,
 	}
+	runtime.GC() // as in runFMI
 	start := time.Now()
 	rep, err := mpi.Run(cfg, func(p *mpi.Proc) error {
 		s, err := himeno.New(p.Rank(), c.Ranks, c.NX, c.NY, c.NZ)
@@ -160,6 +165,19 @@ func runMPI(c Fig15Config, interval int) (Fig15Row, error) {
 	}, nil
 }
 
+// crFaults is the failure plan of the FMI + C/R series: Poisson kills
+// at the configured MTBF, or the scripted kills of ScriptLoops.
+func (c Fig15Config) crFaults() *fmi.FaultPlan {
+	if len(c.ScriptLoops) == 0 {
+		return &fmi.FaultPlan{MTBF: c.MTBF, Seed: c.Seed, MaxFailures: maxFailures(c)}
+	}
+	plan := &fmi.FaultPlan{Seed: c.Seed}
+	for i, id := range c.ScriptLoops {
+		plan.Script = append(plan.Script, fmi.Fault{AfterLoop: id, Node: -1, Rank: i % c.Ranks})
+	}
+	return plan
+}
+
 // Fig15 runs all five series: MPI, FMI (failure-free, no checkpoints),
 // MPI+C, FMI+C (checkpointing, no failures), FMI+C/R (checkpointing
 // with Poisson failures at the configured MTBF).
@@ -190,16 +208,7 @@ func Fig15(c Fig15Config) ([]Fig15Row, error) {
 		{"FMI", func() (Fig15Row, error) { return runFMI(c, 1<<30, nil) }},
 		{"MPI + C", func() (Fig15Row, error) { return runMPI(c, interval) }},
 		{"FMI + C", func() (Fig15Row, error) { return runFMI(c, interval, nil) }},
-		{"FMI + C/R", func() (Fig15Row, error) {
-			plan := &fmi.FaultPlan{MTBF: c.MTBF, Seed: c.Seed, MaxFailures: maxFailures(c)}
-			if len(c.ScriptLoops) > 0 {
-				plan = &fmi.FaultPlan{Seed: c.Seed}
-				for i, id := range c.ScriptLoops {
-					plan.Script = append(plan.Script, fmi.Fault{AfterLoop: id, Node: -1, Rank: i % c.Ranks})
-				}
-			}
-			return runFMI(c, interval, plan)
-		}},
+		{"FMI + C/R", func() (Fig15Row, error) { return runFMI(c, interval, c.crFaults()) }},
 	}
 	var rows []Fig15Row
 	for _, s := range runs {

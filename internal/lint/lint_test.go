@@ -74,9 +74,9 @@ func TestBadIgnoreDirectives(t *testing.T) {
 	}
 	want := []string{
 		`cluster.go:12: [fmilint] malformed //fmilint:ignore directive: need "//fmilint:ignore <analyzer> <reason>"`,
-		`cluster.go:13: [simtime] direct time.Now in simulated package "cluster"; route timing through the cluster's event hooks or the transport delay queue`,
+		`cluster.go:13: [simtime] direct time.Now in simulated package "cluster"; route timing through the cluster's event hooks or the transport's observation delays`,
 		`cluster.go:18: [fmilint] ignore directive names unknown analyzer "bogus"`,
-		`cluster.go:19: [simtime] direct time.Now in simulated package "cluster"; route timing through the cluster's event hooks or the transport delay queue`,
+		`cluster.go:19: [simtime] direct time.Now in simulated package "cluster"; route timing through the cluster's event hooks or the transport's observation delays`,
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d findings, want %d:\n%s", len(got), len(want), strings.Join(got, "\n"))

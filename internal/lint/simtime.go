@@ -7,13 +7,13 @@ import (
 
 // SimTime keeps wall-clock time out of the simulation's timing model.
 // The simulated-cluster and collective-schedule packages must express
-// timing through the cluster's event hooks and the transport delay
-// queue (Options.MsgDelay, the FIFO-preserving per-message latency):
-// a direct time.Now/Sleep/After/NewTimer there couples the simulation
-// to the host scheduler and silently skews the measured recovery and
+// timing through the cluster's event hooks and the transport's
+// failure-observation delays (Options.DetectDelay and PropDelay): a
+// direct time.Now/Sleep/After/NewTimer there couples the simulation to
+// the host scheduler and silently skews the measured recovery and
 // round-count figures. The trace, runtime, transport, and serve
 // packages are allowlisted — they deliberately deal in wall-clock time
-// (timeline timestamps, job timeouts, the delay queue's own
+// (timeline timestamps, job timeouts, the observation delays' own
 // implementation, and the job service's HTTP deadlines, coarse clock,
 // and simulated per-iteration compute).
 var SimTime = &Analyzer{
@@ -54,7 +54,7 @@ func runSimTime(prog *Program, report Reporter) {
 					return true
 				}
 				if forbiddenTimeFuncs[fn.Name()] {
-					report(sel.Pos(), "direct time.%s in simulated package %q; route timing through the cluster's event hooks or the transport delay queue", fn.Name(), pkg.Name)
+					report(sel.Pos(), "direct time.%s in simulated package %q; route timing through the cluster's event hooks or the transport's observation delays", fn.Name(), pkg.Name)
 				}
 				return true
 			})

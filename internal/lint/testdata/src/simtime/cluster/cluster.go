@@ -1,6 +1,6 @@
 // Package cluster is a miniature of the simulated-cluster package: all
 // wall-clock reads and sleeps here must route through the cluster's
-// event hooks or the transport delay queue.
+// event hooks or the transport's observation delays.
 package cluster
 
 import "time"

@@ -1,6 +1,6 @@
 // Package coll is a miniature of the collective-schedule package: it
 // stays restricted even after the serve exemption — schedule timing
-// must come from the transport delay queue, never the host clock.
+// must come from the cluster's event hooks, never the host clock.
 package coll
 
 import "time"

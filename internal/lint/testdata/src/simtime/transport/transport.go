@@ -1,5 +1,5 @@
-// Package transport is allowlisted: the delay queue's implementation
-// deliberately deals in wall-clock time.
+// Package transport is allowlisted: the failure-observation delays'
+// implementation deliberately deals in wall-clock time.
 package transport
 
 import "time"

@@ -124,12 +124,12 @@ type Ring struct {
 
 	mu       sync.Mutex
 	conns    []transport.Conn
-	shut     bool
+	quiet    bool // Quiesce or Shutdown: disconnects are no longer failures
+	stopped  bool // Shutdown: connections closed, watchers released
 	notified bool
 
 	notifyCh chan Notification // capacity 1; receives at most one event
 	stopCh   chan struct{}
-	wg       sync.WaitGroup
 }
 
 // Build connects the log-ring for rank over ep, given the endpoint
@@ -161,9 +161,7 @@ func Build(ep transport.Endpoint, rank int, table []transport.Addr, base int) (*
 		r.watch(conn)
 	}
 	// Watch incoming connections for the lifetime of the ring.
-	r.wg.Add(1)
 	go func() {
-		defer r.wg.Done()
 		for {
 			select {
 			case conn, ok := <-ep.Accept():
@@ -192,7 +190,7 @@ func (r *Ring) Notify() <-chan Notification { return r.notifyCh }
 
 func (r *Ring) watch(conn transport.Conn) {
 	r.mu.Lock()
-	if r.shut {
+	if r.stopped {
 		r.mu.Unlock()
 		conn.Close()
 		return
@@ -200,9 +198,7 @@ func (r *Ring) watch(conn transport.Conn) {
 	r.conns = append(r.conns, conn)
 	r.mu.Unlock()
 
-	r.wg.Add(1)
 	go func() {
-		defer r.wg.Done()
 		select {
 		case <-conn.Closed():
 			r.onDisconnect()
@@ -216,7 +212,7 @@ func (r *Ring) watch(conn transport.Conn) {
 // connection to propagate the event along the ring.
 func (r *Ring) onDisconnect() {
 	r.mu.Lock()
-	if r.shut || r.notified {
+	if r.quiet || r.notified {
 		r.mu.Unlock()
 		return
 	}
@@ -243,15 +239,16 @@ func (r *Ring) Notified() bool {
 // Shutdown tears the ring down. Peers observe the closes; if they are
 // not themselves shutting down they will interpret them as failure
 // propagation, which is harmless during recovery (everyone is heading
-// to the same place) and prevented during finalize by shutting all
-// rings down only after a final barrier.
+// to the same place) and prevented during finalize by quiescing the
+// ring before a final barrier. A quiesced ring still owns its
+// connections and watchers until Shutdown.
 func (r *Ring) Shutdown() {
 	r.mu.Lock()
-	if r.shut {
+	if r.stopped {
 		r.mu.Unlock()
 		return
 	}
-	r.shut = true
+	r.quiet, r.stopped = true, true
 	conns := r.conns
 	r.conns = nil
 	close(r.stopCh)
@@ -261,11 +258,24 @@ func (r *Ring) Shutdown() {
 	}
 }
 
+// Abandon releases the ring's watchers without closing its
+// connections: the process that owns it died, and its peers learn that
+// from the endpoint's death (after DetectDelay), not from closes.
+func (r *Ring) Abandon() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.stopped {
+		r.quiet, r.stopped = true, true
+		close(r.stopCh)
+	}
+}
+
 // Quiesce stops reacting to disconnect events without closing the
 // connections; used right before the finalize barrier so that peers'
-// endpoint teardown is not mistaken for a failure.
+// endpoint teardown is not mistaken for a failure. Shutdown still
+// has to follow to release them.
 func (r *Ring) Quiesce() {
 	r.mu.Lock()
-	r.shut = true
+	r.quiet = true
 	r.mu.Unlock()
 }

@@ -541,6 +541,12 @@ func (j *Job) spawnRank(t *task, rank int, epoch uint32, replacement bool, start
 		return err
 	}
 	j.mu.Lock()
+	if j.endedLocked() {
+		// Abort already reaped the ranks it knew of; this one never runs.
+		j.mu.Unlock()
+		cp.Exit(nil)
+		return nil
+	}
 	j.rankProc[rank] = cp
 	j.rankNode[rank] = t.node.ID
 	v := j.view
@@ -593,6 +599,17 @@ func (j *Job) spawnRank(t *task, rank int, epoch uint32, replacement bool, start
 		cp.Exit(j.app(p))
 	}()
 	return nil
+}
+
+// endedLocked reports whether the job completed or aborted; a process
+// spawned after that has no job to run in. Caller holds j.mu.
+func (j *Job) endedLocked() bool {
+	select {
+	case <-j.abortCh:
+		return true
+	default:
+		return j.doneCount >= len(j.rankDone)
+	}
 }
 
 // rankFinished records a clean exit.
@@ -925,17 +942,7 @@ func (j *Job) reprovisionShadow(rank int) {
 		return
 	}
 	j.mu.Lock()
-	stale := j.rep.degraded || rank >= len(j.rankDone) || j.rankDone[rank]
-	if !stale {
-		select {
-		case <-j.doneCh:
-			stale = true
-		case <-j.abortCh:
-			stale = true
-		default:
-		}
-	}
-	if stale {
+	if j.rep.degraded || rank >= len(j.rankDone) || j.rankDone[rank] || j.endedLocked() {
 		j.mu.Unlock()
 		j.rm.AddSpare(nd)
 		return
@@ -964,6 +971,12 @@ func (j *Job) spawnShadow(t *task, rank int, needSync bool, epoch uint32, startL
 		return err
 	}
 	j.mu.Lock()
+	if j.endedLocked() {
+		// killShadows or Abort already reaped the shadows it knew of.
+		j.mu.Unlock()
+		cp.Exit(nil)
+		return nil
+	}
 	j.rep.shadowProc[rank] = cp
 	j.rep.shadowNode[rank] = t.node.ID
 	v := j.view

@@ -27,10 +27,14 @@ type task struct {
 func newTask(j *Job, node *cluster.Node) *task {
 	t := &task{j: j, node: node, children: make(map[int]*cluster.Proc)}
 	// A node failure kills the task itself; report it even if no
-	// child-death race delivers the event first.
+	// child-death race delivers the event first. The watch ends with
+	// the job.
 	go func() {
-		<-node.FailedCh()
-		t.fail()
+		select {
+		case <-node.FailedCh():
+			t.fail()
+		case <-j.finCh:
+		}
 	}()
 	return t
 }
@@ -134,6 +138,9 @@ func (t *task) childDone(rank int) {
 
 // fail kills the remaining children and reports the task failure once.
 func (t *task) fail() {
+	// Act on the whole fault event: a correlated fault may still be
+	// failing the other nodes it takes down.
+	t.node.Settle()
 	t.mu.Lock()
 	if t.failed {
 		t.mu.Unlock()

@@ -10,8 +10,7 @@ import (
 // stand-in for the InfiniBand data plane with configurable
 // failure-observation delays. Every (sender, receiver) pair exchanges
 // frames over one lock-free ring owned by the receiver, created on the
-// pair's first send; with MsgDelay > 0 a per-sender delay queue sits
-// in front of the rings as the simulated wire.
+// pair's first send.
 type ChanNetwork struct {
 	opts Options
 
@@ -31,11 +30,6 @@ func (n *ChanNetwork) NewEndpoint(die <-chan struct{}) (Endpoint, error) {
 	return n.NewEndpointOnNode(-1, die)
 }
 
-// delayQCap bounds the frames one sender has in flight on the
-// simulated wire; a full queue backpressures Send like a full NIC
-// send queue.
-const delayQCap = 4096
-
 // NewEndpointOnNode implements NodePlacer; the node id does not change
 // how the endpoint's pairs are linked.
 func (n *ChanNetwork) NewEndpointOnNode(_ int, die <-chan struct{}) (Endpoint, error) {
@@ -45,9 +39,6 @@ func (n *ChanNetwork) NewEndpointOnNode(_ int, die <-chan struct{}) (Endpoint, e
 		dead:   make(chan struct{}),
 	}
 	ep.ingress.init(n.opts.ringSlots(), ep.dead)
-	if n.opts.MsgDelay > 0 {
-		ep.delayQ = make(chan delayedMsg, delayQCap)
-	}
 
 	n.mu.Lock()
 	n.nextID++
@@ -55,9 +46,6 @@ func (n *ChanNetwork) NewEndpointOnNode(_ int, die <-chan struct{}) (Endpoint, e
 	n.eps[ep.addr] = ep
 	n.mu.Unlock()
 
-	if ep.delayQ != nil {
-		go ep.delayLoop()
-	}
 	if die != nil {
 		go func() {
 			select {
@@ -88,7 +76,6 @@ type chanEndpoint struct {
 	net    *ChanNetwork
 	addr   Addr
 	accept chan Conn
-	delayQ chan delayedMsg // non-nil iff Options.MsgDelay > 0
 
 	mu       sync.Mutex
 	conns    []*chanConnEnd
@@ -133,22 +120,6 @@ func (ep *chanEndpoint) Send(to Addr, m Msg) error {
 		return nil // silent drop
 	}
 	m.own(ep.net.opts.Pool)
-	if ep.delayQ != nil {
-		// Simulated wire latency: queue for delivery MsgDelay from now.
-		// One goroutine drains the queue in send order, so per-pair
-		// FIFO is preserved and a burst of sends pipelines (all arrive
-		// ~MsgDelay later) instead of serialising.
-		select {
-		case ep.delayQ <- delayedMsg{r: r, m: m, due: time.Now().Add(ep.net.opts.MsgDelay)}:
-			if ep.isDead() {
-				ep.drainDelayQ() // the loop may have drained and exited already
-			}
-			return nil
-		case <-ep.dead:
-			m.Release()
-			return ErrClosed
-		}
-	}
 	if !r.publish(m, ep.dead) && ep.isDead() {
 		return ErrClosed
 	}
@@ -172,61 +143,6 @@ func (ep *chanEndpoint) route(to Addr) *ring {
 	}
 	ep.routes.Store(to, r)
 	return r
-}
-
-// delayedMsg is one in-flight message waiting out the simulated wire
-// latency.
-type delayedMsg struct {
-	r   *ring
-	m   Msg
-	due time.Time
-}
-
-// delayLoop publishes queued messages once their latency has elapsed.
-// Deadlines are monotone in queue order (every message waits the same
-// MsgDelay), so waiting on the head never delays a message behind it.
-func (ep *chanEndpoint) delayLoop() {
-	timer := time.NewTimer(0)
-	defer timer.Stop()
-	for {
-		select {
-		case dm := <-ep.delayQ:
-			if d := time.Until(dm.due); d > 0 {
-				if !timer.Stop() {
-					select {
-					case <-timer.C:
-					default:
-					}
-				}
-				timer.Reset(d)
-				select {
-				case <-timer.C:
-				case <-ep.dead:
-					dm.m.Release()
-					ep.drainDelayQ()
-					return
-				}
-			}
-			dm.r.publish(dm.m, ep.dead)
-		case <-ep.dead:
-			ep.drainDelayQ()
-			return
-		}
-	}
-}
-
-// drainDelayQ recycles frames stranded in the latency queue when the
-// endpoint dies (they were lost on the wire; PSM drops them silently,
-// we just hand the copies back to the arena).
-func (ep *chanEndpoint) drainDelayQ() {
-	for {
-		select {
-		case dm := <-ep.delayQ:
-			dm.m.Release()
-		default:
-			return
-		}
-	}
 }
 
 // Connect establishes a monitored connection to peer.

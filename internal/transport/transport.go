@@ -145,15 +145,6 @@ type Options struct {
 	// PropDelay is how long after an explicit Conn.Close the remote
 	// side observes the disconnect (the log-ring propagation hop cost).
 	PropDelay time.Duration
-	// MsgDelay is a simulated one-way per-message delivery latency for
-	// ChanNetwork (0 = instant delivery, the default). Sends still
-	// return immediately and messages to one destination still arrive
-	// in order, but each is published to the destination's ring
-	// MsgDelay after it was sent. It models interconnect latency so
-	// that round-count differences between collective algorithms are
-	// observable on the in-process substrate, where delivery is
-	// otherwise free. TCPNetwork ignores it (TCP has real latency).
-	MsgDelay time.Duration
 	// Pool, when non-nil, supplies the buffer arena for frame payload
 	// copies (chan Send) and frame reads (TCP). nil disables pooling:
 	// every frame allocates, messages never need releasing.
@@ -202,8 +193,8 @@ type Endpoint interface {
 	// arena (eager-send; the caller may reuse its buffer at once). A
 	// payload marked with Handoff is that frame already: it travels
 	// uncopied, and Send owns it from the call on — every drop path
-	// (dead or unknown peer, closed endpoint, dead connection,
-	// latency queue) Releases it, and a delivered frame is the
+	// (dead or unknown peer, closed endpoint, dead connection)
+	// Releases it, and a delivered frame is the
 	// receiver's to Release or Detach. The caller must not touch a
 	// handed-off buffer after Send.
 	Send(to Addr, m Msg) error

@@ -485,44 +485,6 @@ func TestSymmetricFloodBeforeReceive(t *testing.T) {
 	}
 }
 
-// TestMsgDelayThroughRing checks the simulated wire: every message
-// reaches the matcher no earlier than MsgDelay after its send, the
-// pair stays FIFO, and a burst pipelines instead of serialising. The
-// delay is long next to the cost of 50 sends, so "Send does not wait
-// out the delay" holds with margin on a loaded machine under -race.
-func TestMsgDelayThroughRing(t *testing.T) {
-	const delay, n = 25 * time.Millisecond, 50
-	nw := NewChanNetwork(Options{MsgDelay: delay})
-	a, _ := nw.NewEndpoint(nil)
-	defer a.Close()
-	b, _ := nw.NewEndpoint(nil)
-	defer b.Close()
-	m := newInbox(t, b)
-	var sent [n]time.Time
-	start := time.Now()
-	for i := range sent {
-		sent[i] = time.Now()
-		if err := a.Send(b.Addr(), Msg{Src: 1, Tag: int32(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := time.Since(start); d >= delay {
-		t.Fatalf("%d sends took %v: Send waited out the wire delay", n, d)
-	}
-	for i := range sent {
-		msg := recvOne(t, m, 2*time.Second)
-		if msg.Tag != int32(i) {
-			t.Fatalf("message %d arrived with tag %d (reordered)", i, msg.Tag)
-		}
-		if d := time.Since(sent[i]); d < delay {
-			t.Fatalf("message %d arrived after %v, want >= %v", i, d, delay)
-		}
-	}
-	if d := time.Since(start); d > n*delay/2 {
-		t.Fatalf("burst of %d took %v: deliveries serialised instead of pipelining", n, d)
-	}
-}
-
 func TestEndpointAddrsUnique(t *testing.T) {
 	for name, nw := range testNetworks(Options{}) {
 		t.Run(name, func(t *testing.T) {

@@ -1,0 +1,66 @@
+package fmi
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// TestJobLeavesNoGoroutines runs jobs back to back on both transports
+// under every recovery protocol, failure-free and with one scripted
+// kill, and checks that each finished job leaves no goroutine behind: a
+// long-lived process (fmiserve, a benchmark loop) runs job after job,
+// and whatever a job leaves running keeps its task, ring and buffers
+// reachable.
+func TestJobLeavesNoGoroutines(t *testing.T) {
+	const ranks, iters = 4, 8
+	base := runtime.NumGoroutine()
+	for tp, tpName := range map[TransportKind]string{ChanTransport: "chan", TCPTransport: "tcp"} {
+		for _, mode := range []string{"global", "local", "replica"} {
+			for _, kill := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%s/kill=%v", tpName, mode, kill)
+				var results sync.Map
+				cfg := fastCfg(ranks, 1, 1, 2)
+				cfg.Transport = tp
+				cfg.Recovery = mode
+				if kill {
+					cfg.Faults = &FaultPlan{Script: []Fault{{AfterLoop: 4, Node: -1, Rank: 1}}}
+				}
+				rep, err := Run(cfg, iterApp(iters, &results))
+				if err != nil {
+					t.Fatalf("%s: Run: %v", name, err)
+				}
+				if kill && rep.FailuresInjected == 0 {
+					t.Fatalf("%s: the fault never fired", name)
+				}
+				n := runtime.NumGoroutine()
+				for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+					time.Sleep(5 * time.Millisecond)
+				}
+				if n > base {
+					buf := make([]byte, 1<<20)
+					dump := string(buf[:runtime.Stack(buf, true)])
+					t.Fatalf("%s: %d goroutines after the job, %d before it; still running:\n%s",
+						name, n, base, leakedStacks(dump))
+				}
+			}
+		}
+	}
+}
+
+// leakedStacks keeps the goroutines of a full stack dump that are not
+// the test machinery's own.
+func leakedStacks(dump string) string {
+	var keep []string
+	for _, g := range strings.Split(dump, "\n\n") {
+		if strings.Contains(g, "testing.(*T).Run") || strings.Contains(g, "testing.tRunner") ||
+			strings.Contains(g, "testing.(*M)") || strings.Contains(g, "runtime.Stack") {
+			continue
+		}
+		keep = append(keep, g)
+	}
+	return strings.Join(keep, "\n\n")
+}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fmi/internal/trace"
 )
@@ -55,6 +56,9 @@ func TestReplicaPrimaryKillNoRollback(t *testing.T) {
 	if n := kinds[trace.KindShadowPromote]; n != 1 {
 		t.Errorf("%d shadow-promote events, want exactly 1", n)
 	}
+	if n := rep.Stats.LostIterations; n != 0 {
+		t.Errorf("%d iterations lost, want 0", n)
+	}
 	want := expectedIterSum(ranks, iters)
 	count := 0
 	results.Range(func(k, v any) bool {
@@ -66,6 +70,43 @@ func TestReplicaPrimaryKillNoRollback(t *testing.T) {
 	})
 	if count != ranks {
 		t.Fatalf("results = %d ranks, want %d", count, ranks)
+	}
+
+	// The failure's whole cost is the promotion handoff: the
+	// node-failed -> shadow-promote span is shorter than the recovery
+	// epoch that global rollback runs for the same kill.
+	// The shadow ran on a node of its own: the pair doubles the
+	// footprint rather than sharing a node.
+	var failedAt, promotedAt time.Time
+	failedNode, shadowNode := -1, -1
+	for _, e := range rep.Timeline {
+		switch {
+		case e.Kind == trace.KindNodeFailed && failedAt.IsZero():
+			failedAt = e.At
+			fmt.Sscanf(e.Note, "node %d failed", &failedNode)
+		case e.Kind == trace.KindShadowPromote && promotedAt.IsZero():
+			promotedAt = e.At
+			fmt.Sscanf(e.Note, "shadow on node %d promoted", &shadowNode)
+		}
+	}
+	if failedAt.IsZero() || promotedAt.Before(failedAt) {
+		t.Fatalf("no node-failed -> shadow-promote span in the timeline (%v, %v)", failedAt, promotedAt)
+	}
+	if failedNode < 0 || shadowNode < 0 || failedNode == shadowNode {
+		t.Errorf("primary on node %d, promoted shadow on node %d: want two distinct nodes", failedNode, shadowNode)
+	}
+	gcfg := cfg
+	gcfg.Recovery = "global"
+	grep, err := Run(gcfg, iterApp(iters, &sync.Map{}))
+	if err != nil {
+		t.Fatalf("global Run: %v", err)
+	}
+	if grep.Recoveries == 0 {
+		t.Fatal("global rollback ran no recovery epoch for the same kill")
+	}
+	promote, rollback := promotedAt.Sub(failedAt), grep.Stats.RecoveryTime/time.Duration(grep.Recoveries)
+	if promote >= rollback {
+		t.Errorf("promotion took %v, not below global rollback's recovery epoch of %v", promote, rollback)
 	}
 }
 
