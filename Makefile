@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build test race soak-transport vet lint bench-erasure bench-smoke all
+.PHONY: tier1 build test race soak-transport soak vet lint bench-erasure bench-smoke all
 
 all: tier1 vet lint
 
@@ -21,12 +21,22 @@ race:
 # ingress, whose wake-up invariants (DESIGN.md §3k) are ordering
 # properties, so the race detector runs the package's tests 20 times
 # each at three scheduler widths. The message log rides along: its
-# replay pin against the asynchronous trim (DESIGN.md §3c) is the same
-# kind of interleaving property. The checkpoint coders ride along too:
+# chunks go back to the same arena (DESIGN.md §3c). The checkpoint
+# coders ride along too:
 # their ring forwards received frames through the transport uncopied,
 # so a frame's lifetime spans two endpoints (DESIGN.md §3k).
 soak-transport:
 	for p in 1 2 8; do GOMAXPROCS=$$p $(GO) test -race -count=20 ./internal/transport ./internal/msglog ./internal/ckpt || exit 1; done
+
+# Soak the recovery protocols: their flakes show only under
+# repetition, so build the root test binary once and run the local,
+# replica, resize and mid-collective tests SOAK_COUNT times each (a
+# hang shows as the job timeout). Run a second test process beside it
+# to add load.
+SOAK_COUNT ?= 20
+SOAK_BIN ?= ./fmi.soak.test
+soak:
+	$(GO) test -c -o $(SOAK_BIN) . && $(SOAK_BIN) -test.run 'Local|Replica|Resize|MidCollective' -test.count=$(SOAK_COUNT)
 
 vet:
 	$(GO) vet ./...

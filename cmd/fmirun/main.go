@@ -101,16 +101,16 @@ func main() {
 		sort.Ints(rr)
 		for _, r := range rr {
 			c := rep.Stats.Matcher[r]
-			fmt.Printf("rank %3d: %6d delivered, %4d stale dropped, %4d duplicate(s) suppressed\n",
-				r, c.Delivered, c.Dropped, c.DupSuppressed)
+			fmt.Printf("rank %3d: %6d delivered, %4d stale dropped, %4d duplicate(s) suppressed, %d held at teardown\n",
+				r, c.Delivered, c.Dropped, c.DupSuppressed, c.Held)
 			// Per-source lane breakdown; sources the rank never heard
 			// from are skipped.
 			for src, lc := range c.PerSource {
-				if lc.Delivered == 0 && lc.Dropped == 0 && lc.DupSuppressed == 0 {
+				if lc.Delivered == 0 && lc.Dropped == 0 && lc.DupSuppressed == 0 && lc.Held == 0 {
 					continue
 				}
-				fmt.Printf("  from %3d: %6d delivered, %4d stale dropped, %4d duplicate(s) suppressed\n",
-					src, lc.Delivered, lc.Dropped, lc.DupSuppressed)
+				fmt.Printf("  from %3d: %6d delivered, %4d stale dropped, %4d duplicate(s) suppressed, %d held at teardown\n",
+					src, lc.Delivered, lc.Dropped, lc.DupSuppressed, lc.Held)
 			}
 		}
 	}

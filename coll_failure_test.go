@@ -210,6 +210,9 @@ func TestMidCollectiveFailureRecovery(t *testing.T) {
 					} else if rep.Recoveries == 0 {
 						t.Fatal("no recovery recorded: the fault never fired")
 					}
+					if recovery == "local" {
+						checkNoHeld(t, rep)
+					}
 					want := fam.final(ranks, iters)
 					count := 0
 					results.Range(func(k, v any) bool {

@@ -528,6 +528,9 @@ func Run(cfg Config, app App) (*Report, error) {
 		defer inj.Stop()
 	}
 	rep, err := j.Wait()
+	if pool != nil && cfg.Pooling == PoolingDebug && err == nil {
+		err = auditArena(j, pool)
+	}
 	out := &Report{
 		Stats:          rep.Stats,
 		Recoveries:     int(rep.Epochs),
@@ -550,4 +553,23 @@ func Run(cfg Config, app App) (*Report, error) {
 		}
 	}
 	return out, err
+}
+
+// auditArena is the debug arena's job-end check: once every rank and
+// shadow process has returned and the transports have settled, every
+// buffer drawn from the arena must be back. A leak names the call site
+// that drew each outstanding buffer.
+func auditArena(j *runtime.Job, pool *bufpool.Arena) error {
+	if !j.AwaitExit(10 * time.Second) {
+		return fmt.Errorf("fmi: arena audit: processes still running 10s after the job ended")
+	}
+	// Endpoint teardown (socket readers and writers, ring poison drains)
+	// finishes asynchronously after the processes return.
+	for deadline := time.Now().Add(2 * time.Second); pool.Outstanding() != 0 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := pool.Outstanding(); n != 0 {
+		return fmt.Errorf("fmi: arena audit: %d buffer(s) never released: %v", n, pool.Leaks())
+	}
+	return nil
 }

@@ -297,3 +297,25 @@ func TestTreeTopology(t *testing.T) {
 		t.Fatalf("children of 2 = %v", got)
 	}
 }
+
+func TestTryAllGatherNeverWaits(t *testing.T) {
+	c := NewCoordinator()
+	if _, ok := c.TryAllGather("k", 0, 2, []byte("a")); ok {
+		t.Fatal("gather complete with one of two contributions")
+	}
+	// Polling again records nothing new and still does not wait.
+	if _, ok := c.TryAllGather("k", 0, 2, []byte("a")); ok {
+		t.Fatal("a repeated contribution completed the gather")
+	}
+	vals, ok := c.TryAllGather("k", 1, 2, []byte("b"))
+	if !ok || string(vals[0]) != "a" || string(vals[1]) != "b" {
+		t.Fatalf("last contribution: %q, %v", vals, ok)
+	}
+	if vals, ok := c.TryAllGather("k", 0, 2, []byte("a")); !ok || len(vals) != 2 {
+		t.Fatalf("poll after completion: %q, %v", vals, ok)
+	}
+	c.AbortGather("gone", ErrCancelled)
+	if _, ok := c.TryAllGather("gone", 0, 1, nil); ok {
+		t.Fatal("an aborted gather reported complete")
+	}
+}

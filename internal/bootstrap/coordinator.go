@@ -79,6 +79,30 @@ func (c *Coordinator) Ops() uint64 {
 // indexed by rank. All participants must agree on n. cancel aborts the
 // wait.
 func (c *Coordinator) AllGather(key string, rank, n int, val []byte, cancel <-chan struct{}) ([][]byte, error) {
+	res, ch, err := c.contribute(key, rank, n, val, true)
+	if ch == nil {
+		return res, err
+	}
+	select {
+	case res := <-ch:
+		return res.vals, res.err
+	case <-cancel:
+		return nil, ErrCancelled
+	}
+}
+
+// TryAllGather is AllGather without the wait: it contributes val and
+// returns the values if all n participants have contributed (ok is
+// false until then, and for an aborted gather). Calling it again polls.
+func (c *Coordinator) TryAllGather(key string, rank, n int, val []byte) (vals [][]byte, ok bool) {
+	res, _, err := c.contribute(key, rank, n, val, false)
+	return res, err == nil && res != nil
+}
+
+// contribute records rank's value under key and returns the result
+// when the gather is complete or its error when aborted; otherwise,
+// when wait is set, the channel the result will arrive on.
+func (c *Coordinator) contribute(key string, rank, n int, val []byte, wait bool) ([][]byte, chan gatherResult, error) {
 	c.mu.Lock()
 	c.ops++
 	g := c.gathers[key]
@@ -89,12 +113,12 @@ func (c *Coordinator) AllGather(key string, rank, n int, val []byte, cancel <-ch
 	if g.aborted != nil {
 		err := g.aborted
 		c.mu.Unlock()
-		return nil, err
+		return nil, nil, err
 	}
 	if g.done {
 		res := g.result
 		c.mu.Unlock()
-		return res, nil
+		return res, nil, nil
 	}
 	g.vals[rank] = val
 	if len(g.vals) == g.n {
@@ -110,18 +134,16 @@ func (c *Coordinator) AllGather(key string, rank, n int, val []byte, cancel <-ch
 		for _, w := range waiters {
 			w <- gatherResult{vals: res}
 		}
-		return res, nil
+		return res, nil, nil
+	}
+	if !wait {
+		c.mu.Unlock()
+		return nil, nil, nil
 	}
 	ch := make(chan gatherResult, 1)
 	g.waiters = append(g.waiters, ch)
 	c.mu.Unlock()
-
-	select {
-	case res := <-ch:
-		return res.vals, res.err
-	case <-cancel:
-		return nil, ErrCancelled
-	}
+	return nil, ch, nil
 }
 
 // AbortGather fails a pending gather: current and future participants

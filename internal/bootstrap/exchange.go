@@ -79,7 +79,9 @@ func TreeExchange(p Proc) (Table, Cost, error) {
 		if err != nil {
 			return nil, cost, err
 		}
-		if err := decodeFrag(msg.Data, frag); err != nil {
+		err = decodeFrag(msg.Data, frag)
+		msg.Release() // decode copied every address
+		if err != nil {
 			return nil, cost, err
 		}
 		cost.Rounds++
@@ -113,7 +115,9 @@ func TreeExchange(p Proc) (Table, Cost, error) {
 		}
 		cost.Rounds++
 		full := map[int]transport.Addr{}
-		if err := decodeFrag(msg.Data, full); err != nil {
+		err = decodeFrag(msg.Data, full)
+		msg.Release()
+		if err != nil {
 			return nil, cost, err
 		}
 		table = make(Table, p.N)

@@ -22,11 +22,13 @@ type Transport interface {
 // Releaser is optionally implemented by transports whose Recv returns
 // pooled buffers. Exec type-asserts it and hands back every payload it
 // consumes without retaining (reduce contributions, sync barriers);
-// payloads installed into the caller's block table are never released.
+// payloads installed into the caller's block table are never released
+// but handed to Detach, since their bytes outlive the schedule.
 // Transports without pooling (the MPI baseline, test fakes) simply
 // don't implement it.
 type Releaser interface {
 	Release(buf []byte)
+	Detach(buf []byte)
 }
 
 // ReduceFn folds src into acc element-wise; acc and src have equal
@@ -145,6 +147,9 @@ func applyRecv(s *Schedule, blocks [][]byte, st Step, data []byte, op ReduceFn, 
 		return nil
 	case 1:
 		blocks[st.Blks[0]] = data // retained
+		if rel != nil {
+			rel.Detach(data)
+		}
 		return nil
 	}
 	parts, err := enc.UnpackSlices(data)
@@ -159,6 +164,9 @@ func applyRecv(s *Schedule, blocks [][]byte, st Step, data []byte, op ReduceFn, 
 	}
 	for i, b := range st.Blks {
 		blocks[b] = parts[i] // parts alias data: retained
+	}
+	if rel != nil {
+		rel.Detach(data)
 	}
 	return nil
 }

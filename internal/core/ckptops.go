@@ -286,8 +286,7 @@ func (p *Proc) checkpoint(id int, segs [][]byte) error {
 		// of this rank committed the previous one, so a pair loss can
 		// always roll back to a checkpoint every survivor holds (see
 		// negotiateRestore).
-		shadow := p.cfg.Shadow && !p.promotedSelf()
-		if err := p.cfg.Replica.AwaitPartnerCheckpoint(p.rank, shadow, p.l1Count, p.gen.cancelCh); err != nil {
+		if err := p.cfg.Replica.AwaitPartnerCheckpoint(p.rank, p.actingShadow(), p.l1Count, p.gen.cancelCh); err != nil {
 			return ErrFailureDetected
 		}
 	}
@@ -305,17 +304,15 @@ func (p *Proc) checkpoint(id int, segs [][]byte) error {
 
 	p.l1Count++
 	entry := &entryExt{
-		Entry:       &ckpt.Entry{GroupLoop: id},
-		Interval:    p.interval,
-		NextCtx:     p.nextCtx,
-		CommSeq:     p.commSeq,
-		L1Count:     p.l1Count,
-		ViewVersion: p.viewVersion(),
+		Entry:          &ckpt.Entry{GroupLoop: id},
+		Interval:       p.interval,
+		NextCtx:        p.nextCtx,
+		CommSeq:        p.commSeq,
+		L1Count:        p.l1Count,
+		ViewVersion:    p.viewVersion(),
+		GroupMsgStates: make([][]byte, g),
 	}
-	if p.cfg.Local {
-		entry.GroupMsgStates = make([][]byte, g)
-		entry.GroupMsgStates[gi] = msgState
-	}
+	entry.GroupMsgStates[gi] = msgState
 
 	if g >= 2 {
 		// Exchange sizes and segment shapes (plus, in local mode, each
@@ -358,9 +355,7 @@ func (p *Proc) checkpoint(id int, segs [][]byte) error {
 			}
 			sizes[i] = gm.TotalSize
 			shapes[i] = gm.Shape
-			if p.cfg.Local {
-				entry.GroupMsgStates[i] = gm.MsgState
-			}
+			entry.GroupMsgStates[i] = gm.MsgState
 		}
 		maxSize := 0
 		for _, s := range sizes {
@@ -439,16 +434,14 @@ func (p *Proc) checkpoint(id int, segs [][]byte) error {
 	p.staged = nil
 	p.lastCkpt = id
 	if p.replicaOn() {
-		p.cfg.Replica.CommitCheckpoint(p.rank, p.cfg.Shadow && !p.promotedSelf(), p.l1Count)
+		p.cfg.Replica.CommitCheckpoint(p.rank, p.actingShadow(), p.l1Count)
 	}
 	p.viewCkpt = false // shards now encoded under the current view
-	if p.cfg.Local {
+	if p.log != nil {
+		p.trimLog(entry.L1Count, seenAtCapture)
 		ents, bytes := p.log.Stats()
 		p.cfg.Trace.Add(trace.KindMsgLogged, p.rank, p.epoch,
 			"log holds %d entries (%d B) at checkpoint %d", ents, bytes, id)
-		// Garbage-collect asynchronously: entries every receiver's
-		// committed checkpoint acknowledges can never be replayed again.
-		go p.trimLog(p.n, entry.L1Count, p.logEra, p.epoch, seenAtCapture)
 	}
 	if err := p.maybeWriteL2(id); err != nil {
 		return err

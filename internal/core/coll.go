@@ -58,6 +58,11 @@ func (t collTP) Recv(peer int) ([]byte, error) {
 // collective steps allocation-free on the shared arena.
 func (t collTP) Release(buf []byte) { t.c.p.pool.Put(buf) }
 
+// Detach implements coll.Releaser: a frame the executor installs in
+// the block table outlives the schedule (results go to the caller), so
+// it leaves the arena's accounting.
+func (t collTP) Detach(buf []byte) { t.c.p.pool.Detach(buf) }
+
 // selectAlgo consults the policy and records the choice in the trace
 // (the coll-algo event), making per-operation algorithm selection
 // observable in timelines.

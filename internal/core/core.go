@@ -280,8 +280,10 @@ type Stats struct {
 }
 
 // MatcherCounters are one rank's accumulated matcher statistics:
-// delivered messages, stale-epoch discards (paper §IV-D), and
-// duplicates suppressed by local recovery's receive watermarks.
+// delivered messages, stale-epoch discards (paper §IV-D), duplicates
+// suppressed by the sequenced protocols' receive watermarks, and
+// frames still held above a sequence gap when a generation was torn
+// down (transport.LaneCounters.Held; a working recovery leaves none).
 // PerSource breaks the same counters down by sending rank (indexed by
 // source rank, from the matcher's per-source lanes); messages from
 // out-of-range sources are counted in the totals only.
@@ -289,6 +291,7 @@ type MatcherCounters struct {
 	Delivered     uint64
 	Dropped       uint64
 	DupSuppressed uint64
+	Held          uint64
 	PerSource     []transport.LaneCounters
 }
 
@@ -315,6 +318,8 @@ func (s *Stats) AddMatcher(rank int, delivered, dropped, dupSuppressed uint64, l
 		c.PerSource[src].Delivered += lc.Delivered
 		c.PerSource[src].Dropped += lc.Dropped
 		c.PerSource[src].DupSuppressed += lc.DupSuppressed
+		c.PerSource[src].Held += lc.Held
+		c.Held += lc.Held
 	}
 	s.matcher[rank] = c
 	s.mu.Unlock()

@@ -10,6 +10,7 @@ import (
 
 	"fmi/internal/bootstrap"
 	"fmi/internal/coll"
+	"fmi/internal/replica"
 	"fmi/internal/transport"
 )
 
@@ -114,11 +115,36 @@ func world(t *testing.T, n int, fn func(p *Proc) error) []error {
 // worldPolicy is world with the collective algorithms selected by pol.
 func worldPolicy(t *testing.T, n int, pol coll.Policy, fn func(p *Proc) error) []error {
 	t.Helper()
+	return spawnWorld(t, n, 1, func(c *Config) { c.Coll = pol }, fn)
+}
+
+// worldMode is world under a recovery protocol: "global", "local"
+// (sender-based logging), or "replica" (every rank a primary/shadow
+// pair; the shadows' errors follow the primaries' in the result).
+func worldMode(t *testing.T, n int, mode string, fn func(p *Proc) error) []error {
+	t.Helper()
+	var reg *replica.Registry
+	copies := 1
+	if mode == "replica" {
+		reg = replica.NewRegistry(n)
+		copies = 2
+	}
+	return spawnWorld(t, n, copies, func(c *Config) {
+		c.Local = mode == "local"
+		c.Replica = reg
+	}, fn)
+}
+
+// spawnWorld runs copies processes per rank on a fake control — the
+// second copy of each rank its replica shadow — with their configs
+// adjusted by mod, and returns the per-process errors.
+func spawnWorld(t *testing.T, n, copies int, mod func(*Config), fn func(p *Proc) error) []error {
+	t.Helper()
 	nw := transport.NewChanNetwork(transport.Options{})
 	ctl := newFakeCtl()
-	errs := make([]error, n)
+	errs := make([]error, copies*n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := range errs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -127,11 +153,13 @@ func worldPolicy(t *testing.T, n int, pol coll.Policy, fn func(p *Proc) error) [
 					errs[i] = fmt.Errorf("panic: %v", v)
 				}
 			}()
-			p, err := Init(Config{
-				Rank: i, N: n, ProcsPerNode: 1, GroupSize: 4,
+			cfg := Config{
+				Rank: i % n, N: n, ProcsPerNode: 1, GroupSize: 4,
 				Interval: 1 << 30, Network: nw, Ctl: ctl,
-				KillCh: make(chan struct{}), Coll: pol,
-			})
+				KillCh: make(chan struct{}), Shadow: i >= n,
+			}
+			mod(&cfg)
+			p, err := Init(cfg)
 			if err != nil {
 				errs[i] = err
 				return
@@ -903,3 +931,55 @@ func TestSpuriousNotificationRecovery(t *testing.T) {
 		}
 	}
 }
+
+// TestIrecvTestWithoutWait pins Request.Test under every recovery
+// protocol: a posted receive reports false while nothing has arrived,
+// and true once the message is there — without Wait driving it — and
+// Wait then returns that message. Under replica recovery every rank
+// runs as a primary/shadow pair, so each receiver endpoint gets two
+// copies of the message and keeps one.
+func TestIrecvTestWithoutWait(t *testing.T) {
+	for _, mode := range []string{"global", "local", "replica"} {
+		t.Run(mode, func(t *testing.T) {
+			copies := 1
+			if mode == "replica" {
+				copies = 2
+			}
+			var posted sync.WaitGroup // every copy of rank 1 has checked Test before anything is sent
+			posted.Add(copies)
+			errs := worldMode(t, 2, mode, func(p *Proc) error {
+				w := p.World()
+				if p.Rank() == 0 {
+					posted.Wait()
+					if err := w.Send(1, 9, []byte("hi")); err != nil {
+						return err
+					}
+					return p.Finalize()
+				}
+				r, err := w.Irecv(0, 9)
+				if err != nil {
+					return err
+				}
+				early := r.Test()
+				posted.Done()
+				if early {
+					return errors.New("Test reported a match before anything was sent")
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				for !r.Test() {
+					if time.Now().After(deadline) {
+						return errors.New("Test never reported the arrived message")
+					}
+					time.Sleep(time.Millisecond)
+				}
+				data, from, err := r.Wait()
+				if err != nil || string(data) != "hi" || from != 0 {
+					return fmt.Errorf("Wait after Test: %q from %d, %v", data, from, err)
+				}
+				return p.Finalize()
+			})
+			checkErrs(t, errs)
+		})
+	}
+}
+

@@ -42,7 +42,7 @@ func (p *Proc) Loop(segs [][]byte) int {
 				// Re-provisioned shadow: pull the primary's live state,
 				// then fall through to the normal schedule in lockstep.
 				p.applyShadowSync(segs)
-			} else if !p.cfg.Shadow || p.promotedSelf() {
+			} else if !p.actingShadow() {
 				// Acting primary: serve a pending replacement-shadow
 				// state request before this iteration's checkpoint
 				// decision, so the snapshot point is well defined. While
@@ -131,7 +131,7 @@ func (p *Proc) joinFence() bool {
 	if ticket == 0 {
 		return false
 	}
-	observer := p.cfg.Shadow && p.cfg.Replica != nil && !p.promotedSelf()
+	observer := p.actingShadow()
 	out, err := p.viewCtl.JoinResize(ticket, p.rank, p.loopID, observer, p.cfg.KillCh)
 	if err != nil {
 		p.checkAlive()
@@ -348,7 +348,7 @@ func (p *Proc) negotiateRestore() error {
 			// from the abandoned era can never collide with new ones
 			// after l1Count rolls back.
 			p.log.Reset()
-			p.carrySeen, p.carryQueue = nil, nil
+			p.trims = nil
 			p.gen.m.ResetSeen()
 			p.logEra = p.epoch
 			p.reexecPending = false
@@ -553,7 +553,8 @@ func (p *Proc) groupRestore(group []int, gi int, infos []availInfo, restoreID in
 		pooledSnap:   p.pool != nil,
 		pooledParity: p.pool != nil,
 	}
-	if p.cfg.Local && gi < len(b.MsgStates) && len(b.MsgStates[gi]) > 0 {
+	// Only a rank that keeps a sender log checkpoints messaging state.
+	if gi < len(b.MsgStates) && len(b.MsgStates[gi]) > 0 {
 		if err := p.restoreMsgState(b.MsgStates[gi]); err != nil {
 			return fmt.Errorf("%w: %v", ErrUnrecoverable, err)
 		}
@@ -576,9 +577,6 @@ func (p *Proc) restoreMsgState(blob []byte) error {
 		return err
 	}
 	p.logEra = st.Era
-	p.gen.m.SeedSeen(st.Seen)
-	if len(st.Queue) > 0 {
-		p.gen.m.Inject(st.Queue)
-	}
+	adoptMsgState(p.gen.m, p.n, st)
 	return nil
 }

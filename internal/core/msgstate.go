@@ -146,13 +146,13 @@ func decodeMsgState(data []byte) (msgState, error) {
 }
 
 // captureMsgState snapshots this rank's messaging state (local mode
-// only; returns nil otherwise). Taken on the application thread at
+// only: nil without a sender log). Taken on the application thread at
 // checkpoint-capture time, so it is consistent with the user segments:
 // every message consumed before this point influenced the captured
 // segments; everything after is either in the queue snapshot or above
 // the seen watermarks (and therefore replayable).
 func (p *Proc) captureMsgState() (blob []byte, seen []uint64) {
-	if !p.cfg.Local || p.log == nil {
+	if p.log == nil {
 		return nil, nil
 	}
 	seen, queue := p.gen.m.HarvestState()
@@ -162,4 +162,15 @@ func (p *Proc) captureMsgState() (blob []byte, seen []uint64) {
 		Seen:     seen,
 		Queue:    queue,
 	}), seen
+}
+
+// adoptMsgState splices a handed-over receive state into matcher m for
+// a world of n ranks: seed the watermarks (which purges whatever they
+// already cover), then inject the accepted-but-unconsumed messages
+// below them. One path for the three hand-overs: a survivor's carry
+// across a fence, a respawned rank's checkpointed state, and a
+// primary's snapshot spliced into a re-provisioned shadow.
+func adoptMsgState(m *transport.Matcher, n int, st msgState) {
+	m.Seed(n, st.Seen)
+	m.Inject(st.Queue)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"fmi/internal/transport"
 )
@@ -41,7 +40,7 @@ func (p *Proc) sendFrame(world int, ctx uint32, tag int32, kind byte, payload []
 		return err
 	}
 	var seq uint64
-	if p.cfg.Local && p.seqActive && p.log != nil {
+	if p.seqActive {
 		seq = p.log.Record(world, ctx, tag, kind, payload) // the log keeps its own copy
 	}
 	msg := transport.Msg{
@@ -62,29 +61,44 @@ func (p *Proc) sendFrame(world int, ctx uint32, tag int32, kind byte, payload []
 
 // recvRaw blocks for a matching message, aborting on failure
 // notification or kill (via the generation's merged cancel channel).
-// In local mode a survivor's receive rides through the epoch fence:
-// recover the generation (H1/H2 + replay negotiation), then re-post
-// the same receive on the rebuilt matcher — the carried-over watermarks
-// and unexpected queue guarantee no loss and no duplicate.
+// Under ride-through a survivor's receive continues past the epoch
+// fence: recover the generation (H1/H2 + replay negotiation), then
+// re-post the same receive on the rebuilt matcher — the carried-over
+// watermarks and unexpected queue guarantee no loss and no duplicate.
 func (p *Proc) recvRaw(ctx uint32, src int32, tag int32) (transport.Msg, error) {
 	for {
-		msg, err := p.gen.m.Recv(ctx, src, tag, p.gen.cancelCh)
+		g := p.gen
+		msg, err := g.m.Recv(ctx, src, tag, g.cancelCh)
 		if err == nil {
 			return msg, nil
 		}
-		p.checkAlive()
-		if !p.cfg.Local || !p.seqActive {
-			return transport.Msg{}, ErrFailureDetected
-		}
-		p.recover()
-		if p.pendingID >= 0 {
-			// The fence fell back to a level-2 restore — a *global*
-			// rollback even in local mode. This survivor must unwind to
-			// Loop and roll back with everyone else instead of waiting
-			// for a message the rolled-back world will never re-send.
-			return transport.Msg{}, ErrFailureDetected
+		if err := p.rideThrough(g); err != nil {
+			return transport.Msg{}, err
 		}
 	}
+}
+
+// rideThrough handles a receive that generation g failed: a killed
+// process unwinds, and without ride-through (the rollback and replica
+// protocols) the failure surfaces as ErrFailureDetected for Loop to
+// repair. With it, the rank recovers the generation in place — unless
+// another receive already rode through this fence and g is gone — and
+// the caller re-posts its receive; a fence that fell back to a level-2
+// restore — a *global* rollback even in local mode — unwinds to Loop
+// instead, since the rolled-back world will never re-send what the
+// receive waits for.
+func (p *Proc) rideThrough(g *generation) error {
+	p.checkAlive()
+	if !p.seqActive {
+		return ErrFailureDetected
+	}
+	if g == p.gen {
+		p.recover()
+	}
+	if p.pendingID >= 0 {
+		return ErrFailureDetected
+	}
+	return nil
 }
 
 // Send transmits data to the destination rank of the communicator
@@ -172,51 +186,62 @@ func (c *Comm) TryRecv(src, tag int) (data []byte, from int, ok bool, err error)
 	return msg.Detach(), c.Translate(int(msg.Src)), true, nil
 }
 
-// Request is a pending nonblocking operation. In local recovery mode
-// receives are awaited lazily in Wait (the caller's thread must drive
-// the ride-through recovery), so await is non-nil there.
+// Request is a pending nonblocking operation. A receive is awaited
+// lazily, on the caller's thread inside Wait, in every recovery mode:
+// the fence ride-through (recover + re-post) must run on the
+// application thread, and no goroutine is parked per receive.
 type Request struct {
-	done  chan struct{}
-	data  []byte
-	from  int
-	err   error
-	await func() ([]byte, int, error)
-	once  sync.Once
+	c        *Comm
+	gen      *generation
+	pend     *transport.Pending // nil once complete (and for Isend)
+	src, tag int32
+
+	data []byte
+	from int
+	err  error
 }
 
 // Wait blocks until the operation completes and returns its result.
+// If the generation was replaced since the receive was posted (a fence
+// ridden through), the receive is re-posted on the new matcher; with
+// several outstanding same-(src, tag) Irecvs a fence can reorder their
+// completion (documented local-mode limitation).
 func (r *Request) Wait() (data []byte, from int, err error) {
-	if r.await != nil {
-		r.once.Do(func() {
-			r.data, r.from, r.err = r.await()
-			close(r.done)
-		})
+	for r.pend != nil {
+		msg, err := r.pend.Await(r.gen.cancelCh)
+		if err == nil {
+			r.pend = nil
+			r.data, r.from = msg.Detach(), r.c.Translate(int(msg.Src))
+			break
+		}
+		p := r.c.p
+		if err := p.rideThrough(r.gen); err != nil {
+			r.pend, r.err = nil, err
+			break
+		}
+		r.gen = p.gen
+		if r.pend, err = r.gen.m.PostRecv(r.c.ctx, r.src, r.tag); err != nil {
+			r.pend, r.err = nil, ErrFailureDetected
+		}
 	}
-	<-r.done
 	return r.data, r.from, r.err
 }
 
-// Test reports whether the operation has completed.
+// Test reports, without blocking, whether the operation has completed
+// or — for a receive — its message has arrived (it pumps the matcher);
+// Wait then returns at once.
 func (r *Request) Test() bool {
-	select {
-	case <-r.done:
-		return true
-	default:
-		return false
-	}
+	return r.pend == nil || r.pend.Test()
 }
 
 // Isend starts a nonblocking send. The transport is eager (buffered),
 // so the send is issued immediately to preserve ordering with
 // subsequent sends from this rank.
 func (c *Comm) Isend(dst, tag int, data []byte) (*Request, error) {
-	r := &Request{done: make(chan struct{})}
-	r.err = c.Send(dst, tag, data)
-	close(r.done)
-	if r.err != nil {
-		return nil, r.err
+	if err := c.Send(dst, tag, data); err != nil {
+		return nil, err
 	}
-	return r, nil
+	return &Request{c: c}, nil
 }
 
 // Irecv starts a nonblocking receive. The receive is *posted*
@@ -237,55 +262,12 @@ func (c *Comm) Irecv(src, tag int) (*Request, error) {
 		}
 		srcWorld = int32(w)
 	}
-	pend, err := c.p.gen.m.PostRecv(c.ctx, srcWorld, int32(tag))
+	gen := c.p.gen
+	pend, err := gen.m.PostRecv(c.ctx, srcWorld, int32(tag))
 	if err != nil {
 		return nil, ErrFailureDetected
 	}
-	r := &Request{done: make(chan struct{})}
-	gen := c.p.gen
-	if c.p.cfg.Local {
-		// Lazy await: the fence ride-through (recover + re-post) must
-		// run on the application thread, so the await happens inside
-		// Wait rather than on a goroutine. Test reports false until
-		// Wait is called. If the generation is replaced before Wait,
-		// the posted receive is re-issued on the new matcher; with
-		// several outstanding same-(src,tag) Irecvs a fence can reorder
-		// their completion (documented local-mode limitation).
-		p := c.p
-		r.await = func() ([]byte, int, error) {
-			for {
-				msg, err := pend.Await(gen.cancelCh)
-				if err == nil {
-					return msg.Detach(), c.Translate(int(msg.Src)), nil
-				}
-				p.checkAlive()
-				if !p.seqActive {
-					return nil, -1, ErrFailureDetected
-				}
-				p.recover()
-				if p.pendingID >= 0 {
-					// Level-2 fallback: global rollback, unwind to Loop.
-					return nil, -1, ErrFailureDetected
-				}
-				gen = p.gen
-				pend, err = gen.m.PostRecv(c.ctx, srcWorld, int32(tag))
-				if err != nil {
-					return nil, -1, ErrFailureDetected
-				}
-			}
-		}
-		return r, nil
-	}
-	go func() {
-		msg, err := pend.Await(gen.cancelCh)
-		if err != nil {
-			r.err = ErrFailureDetected
-		} else {
-			r.data, r.from = msg.Detach(), c.Translate(int(msg.Src))
-		}
-		close(r.done)
-	}()
-	return r, nil
+	return &Request{c: c, gen: gen, pend: pend, src: srcWorld, tag: int32(tag)}, nil
 }
 
 // WaitAll waits for all requests, returning the first error.

@@ -70,9 +70,10 @@ type Proc struct {
 	commSeq  int // count of communicator-creating calls (cache keys)
 	finalize bool
 
-	// Localized (message-logging) recovery state, cfg.Local only.
-	log       *msglog.Log // sender-based volatile message log
-	seqActive bool        // sequencing armed (between negotiate and teardown)
+	// Localized (message-logging) recovery state.
+	log       *msglog.Log // sender-based volatile message log (nil unless local)
+	trims     []trimRound // log-trim rounds contributed to, not yet applied
+	seqActive bool        // ride-through armed: the log sequences sends (between negotiate and teardown)
 	logEra    uint32      // bumped to the epoch of every level-2 fallback
 	// reexecPending marks a fresh replacement that must re-execute the
 	// restore checkpoint's exchange after applying the snapshot, so the
@@ -81,14 +82,13 @@ type Proc struct {
 	// re-execution runs.
 	reexecPending bool
 	reexec        bool
-	// Matcher state carried across an epoch fence on a survivor: the
-	// receive watermarks plus accepted-but-unconsumed data-plane
-	// messages, harvested from the old generation's matcher and seeded
-	// into the new one so nothing is lost or double-delivered.
-	carrySeen  []uint64
-	carryQueue []transport.Msg
+	// carry is the sequenced receive state handed from one generation's
+	// matcher to the next on a survivor (local and replica): the
+	// watermarks plus accepted-but-unconsumed data-plane messages, so
+	// nothing is lost or double-delivered across the fence.
+	carry msgState
 
-	// Replication-based recovery state, cfg.Replica only (replica.go).
+	// Replication-based recovery state (replica.go).
 	repSeq        []uint64 // per-destination mirrored send sequence numbers
 	flipAck       []uint64 // per-destination shadow incarnation this copy has fenced
 	flipGen       uint64   // registry ShadowGen at the last ack sweep
@@ -111,7 +111,7 @@ type generation struct {
 	stop       chan struct{} // stops the watcher
 	notifiedAt time.Time
 	tornDown   bool // teardown ran (guards double harvest/stat counting)
-	replica    bool // built by buildReplicaGeneration (no endpoint table)
+	replica    bool // rendezvoused through the replica registry (no endpoint table, no ring)
 }
 
 func (g *generation) failed() bool {
@@ -120,6 +120,15 @@ func (g *generation) failed() bool {
 		return true
 	default:
 		return false
+	}
+}
+
+// stopWatcher ends the generation's failure watcher. Idempotent.
+func (g *generation) stopWatcher() {
+	select {
+	case <-g.stop:
+	default:
+		close(g.stop)
 	}
 }
 
@@ -183,12 +192,12 @@ func Init(cfg Config) (*Proc, error) {
 	// advanced; join whatever is current.
 	epoch, err := cfg.Ctl.AwaitEpoch(p.epoch, p.killCh())
 	if err != nil {
-		p.releaseLog()
+		p.release()
 		return nil, err
 	}
 	p.epoch = epoch
 	if err := p.rebuildUntilStable(); err != nil {
-		p.releaseLog()
+		p.release()
 		return nil, err
 	}
 	p.state = StateRunning
@@ -249,18 +258,33 @@ func (p *Proc) checkAlive() {
 // and threads would vanish with it, so what it holds in the job's arena
 // goes back and its ring's watchers stop first.
 func (p *Proc) die() {
-	p.releaseLog()
-	if p.gen != nil && p.gen.ring != nil {
-		p.gen.ring.Abandon()
+	if p.gen != nil {
+		if p.gen.ring != nil {
+			p.gen.ring.Abandon()
+		}
+		p.gen.m.Close()
 	}
+	p.release()
 	panic(procKilledPanic{})
 }
 
-// releaseLog returns the message log's chunks to the arena at the
-// rank's teardown; a trim still in flight finds the log empty.
-func (p *Proc) releaseLog() {
+// release returns what the rank holds in the job's arena at its end:
+// the checkpoint entries, the carried receive state, and the message
+// log's chunks.
+func (p *Proc) release() {
+	p.recycleEntry(p.staged)
+	p.recycleEntry(p.committed)
+	p.recycleEntry(p.prior)
+	releaseMsgs(p.carry.Queue)
+	p.carry = msgState{}
 	if p.log != nil {
 		p.log.Reset()
+	}
+}
+
+func releaseMsgs(ms []transport.Msg) {
+	for i := range ms {
+		ms[i].Release()
 	}
 }
 
@@ -299,20 +323,20 @@ func (p *Proc) adoptView() {
 	}
 	// Carried matcher state: pad watermarks for joiners, drop state for
 	// retired ranks (nothing of theirs can arrive again).
-	if p.carrySeen != nil {
+	if p.carry.Seen != nil {
 		cs := make([]uint64, p.n)
-		copy(cs, p.carrySeen)
-		p.carrySeen = cs
+		copy(cs, p.carry.Seen)
+		p.carry.Seen = cs
 	}
-	if len(p.carryQueue) > 0 {
-		keep := p.carryQueue[:0]
-		for _, m := range p.carryQueue {
-			if int(m.Src) < p.n {
-				keep = append(keep, m)
-			}
+	keep := p.carry.Queue[:0]
+	for _, m := range p.carry.Queue {
+		if int(m.Src) < p.n {
+			keep = append(keep, m)
+		} else {
+			m.Release()
 		}
-		p.carryQueue = keep
 	}
+	p.carry.Queue = keep
 	if p.repSeq != nil {
 		rs := make([]uint64, p.n)
 		copy(rs, p.repSeq)
@@ -334,25 +358,17 @@ func (p *Proc) viewVersion() uint64 {
 	return p.view.Version
 }
 
-// buildGeneration performs H1 (endpoint exchange), H2 (log-ring), and
-// the epoch's restore negotiation. On interruption it tears down and
-// returns an error; the caller advances the epoch and retries.
+// buildGeneration rebuilds the rank's messaging for the current epoch:
+// a fresh endpoint and matcher at the new epoch and view, seeded with
+// the carried receive state when the protocol sequences its data plane,
+// the protocol's rendezvous, one failure watcher, and — for the
+// rollback protocols — the epoch's restore negotiation. On interruption
+// it tears down and returns an error; the caller advances the epoch and
+// retries.
 func (p *Proc) buildGeneration() error {
-	if p.cfg.Replica != nil {
-		if p.cfg.Replica.Active() {
-			return p.buildReplicaGeneration()
-		}
-		// The job degraded to plain rollback recovery (pair loss). A
-		// shadow that never promoted has no seat in the rebuilt world:
-		// park until the runtime reaps it. Promoted shadows ARE their
-		// rank now and rebuild normally with the survivors.
-		if p.cfg.Shadow && !p.promotedSelf() {
-			<-p.cfg.KillCh
-			p.die()
-		}
-	}
+	rendezvous, sequenced := p.protocol()
 	p.checkAlive()
-	p.seqActive = false // no data-plane sequencing during the fence
+	p.seqActive = false // no ride-through during the fence
 	p.teardownGen(p.gen)
 	p.gen = nil
 	p.adoptView()
@@ -376,65 +392,39 @@ func (p *Proc) buildGeneration() error {
 	g.m = transport.NewMatcher(ep)
 	g.m.AdvanceEpoch(p.epoch)
 	g.m.AdvanceView(p.viewVersion())
-	if p.cfg.Local {
-		g.m.EnableDedup(p.n)
-		// Re-seed state carried over from the previous generation: the
-		// receive watermarks keep suppressing replayed duplicates, and
-		// accepted-but-unconsumed messages stay deliverable. (The
-		// teardown harvest repopulates the carry if this round fails.)
-		if p.carrySeen != nil {
-			g.m.SeedSeen(p.carrySeen)
-		}
-		if len(p.carryQueue) > 0 {
-			g.m.Inject(p.carryQueue)
-		}
-		p.carrySeen, p.carryQueue = nil, nil
+	// The carried watermarks keep suppressing replayed and mirrored
+	// duplicates, and accepted-but-unconsumed messages stay deliverable.
+	// (The teardown harvest repopulates the carry if this round fails.)
+	if sequenced {
+		adoptMsgState(g.m, p.n, p.carry)
+	} else {
+		releaseMsgs(p.carry.Queue)
 	}
+	p.carry = msgState{}
 
-	// Cancel H1/H2 waits when the process is killed OR the job epoch
-	// advances past this round (a further failure made it stale).
+	// Cancel rendezvous waits when the process is killed OR the job
+	// epoch advances past this round (a further failure made it stale).
 	cancel, stopCancel := mergeCancel(p.cfg.KillCh, p.cfg.Ctl.EpochNotify(p.epoch))
 	defer stopCancel()
-
-	table, _, err := bootstrap.TreeExchange(bootstrap.Proc{
-		Rank: p.rank, N: p.n, Addr: ep.Addr(), EP: ep, M: g.m,
-		Coord: p.cfg.Ctl.Coordinator(), Epoch: p.epoch,
-		Key:    fmt.Sprintf("h1/%d", p.epoch),
-		Cancel: cancel,
-	})
-	if err != nil {
-		p.teardownGen(g)
-		return p.classify(err)
-	}
-	g.table = table
-
-	// H2: log-ring.
-	p.state = StateConnecting
-	p.cfg.Trace.Add(trace.KindState, p.rank, p.epoch, "H2 connecting")
-	ring, err := overlay.Build(ep, p.rank, table, p.cfg.RingBase)
-	if err != nil {
-		p.teardownGen(g)
-		return p.classify(err)
-	}
-	g.ring = ring
-
-	// Everyone must finish H2 before anything else flows, or an early
-	// sender could race the ring construction.
-	if err := p.cfg.Ctl.Coordinator().Barrier(fmt.Sprintf("h2/%d", p.epoch), p.rank, p.n, cancel); err != nil {
+	if err := rendezvous(g, cancel); err != nil {
 		p.teardownGen(g)
 		return p.classify(err)
 	}
 
-	// Arm the failure watcher: ring notification or control-plane
-	// epoch bump, whichever lands first. The merged cancel channel
-	// additionally wakes on process kill so every blocked receive
+	// Arm the failure watcher: ring notification (rollback protocols) or
+	// control-plane epoch bump, whichever lands first. The merged cancel
+	// channel additionally wakes on process kill so every blocked receive
 	// unwinds promptly.
+	var ringCh <-chan overlay.Notification // nil without a ring: never fires
+	if g.ring != nil {
+		ringCh = g.ring.Notify()
+	}
 	ctlCh := p.cfg.Ctl.EpochNotify(p.epoch)
 	kill := p.cfg.KillCh
 	go func(g *generation) {
 		defer close(g.cancelCh)
 		select {
-		case <-g.ring.Notify():
+		case <-ringCh:
 		case <-ctlCh:
 		case <-kill:
 			return
@@ -447,6 +437,9 @@ func (p *Proc) buildGeneration() error {
 	}(g)
 
 	p.gen = g
+	if g.replica {
+		return nil // masked failures never bump the epoch: nothing to roll back
+	}
 
 	// Restore negotiation: agree on the rollback point and rebuild
 	// lost checkpoints within each XOR group. The resulting snapshot
@@ -456,12 +449,56 @@ func (p *Proc) buildGeneration() error {
 		p.gen = nil
 		return err
 	}
-	if p.cfg.Local {
-		// Sequencing arms only once the generation is fully negotiated;
-		// fence-internal traffic stays unsequenced (Seq 0).
-		p.seqActive = true
-	}
+	// Ride-through arms only once the generation is fully negotiated;
+	// fence-internal traffic stays unsequenced (Seq 0).
+	p.seqActive = p.log != nil
 	return nil
+}
+
+// protocol picks what differs between the recovery protocols when a
+// generation is built: the rendezvous (the H1 tree exchange plus the H2
+// log-ring, or the replica registry) and whether the data plane is
+// sequenced (local's sender log, replica's mirrored streams).
+func (p *Proc) protocol() (rendezvous func(*generation, <-chan struct{}) error, sequenced bool) {
+	if reg := p.cfg.Replica; reg != nil {
+		if reg.Active() {
+			return p.registryRendezvous, true
+		}
+		// The job degraded to plain rollback recovery (pair loss). A
+		// shadow that never promoted has no seat in the rebuilt world:
+		// park until the runtime reaps it. Promoted shadows ARE their
+		// rank now and rebuild normally with the survivors.
+		if p.actingShadow() {
+			<-p.cfg.KillCh
+			p.die()
+		}
+	}
+	return p.treeRendezvous, p.log != nil
+}
+
+// treeRendezvous is the rollback protocols' rendezvous: H1 endpoint
+// exchange over the bootstrap tree, the H2 log-ring, and a barrier so
+// no sender races the ring construction.
+func (p *Proc) treeRendezvous(g *generation, cancel <-chan struct{}) error {
+	table, _, err := bootstrap.TreeExchange(bootstrap.Proc{
+		Rank: p.rank, N: p.n, Addr: g.ep.Addr(), EP: g.ep, M: g.m,
+		Coord: p.cfg.Ctl.Coordinator(), Epoch: p.epoch,
+		Key:    fmt.Sprintf("h1/%d", p.epoch),
+		Cancel: cancel,
+	})
+	if err != nil {
+		return err
+	}
+	g.table = table
+
+	p.state = StateConnecting
+	p.cfg.Trace.Add(trace.KindState, p.rank, p.epoch, "H2 connecting")
+	ring, err := overlay.Build(g.ep, p.rank, table, p.cfg.RingBase)
+	if err != nil {
+		return err
+	}
+	g.ring = ring
+	return p.cfg.Ctl.Coordinator().Barrier(fmt.Sprintf("h2/%d", p.epoch), p.rank, p.n, cancel)
 }
 
 // mergeCancel returns a channel closed when either input fires; call
@@ -487,40 +524,24 @@ func mergeCancel(a, b <-chan struct{}) (<-chan struct{}, func()) {
 	}
 }
 
+// teardownGen ends a generation: the watcher and ring stop, the
+// matcher hands its sequenced receive state over to the carry (nothing
+// when the generation never sequenced) and releases every other frame,
+// and its counters go to the job's statistics.
 func (p *Proc) teardownGen(g *generation) {
 	if g == nil || g.tornDown {
 		return
 	}
 	g.tornDown = true
-	if g.m != nil {
-		d, dr, dup := g.m.Stats()
-		p.cfg.Stats.AddMatcher(p.rank, d, dr, dup, g.m.LaneStats())
-		if p.cfg.Local {
-			// Harvest receive-side state for the next generation.
-			seen, queued := g.m.HarvestState()
-			if len(seen) > 0 {
-				p.carrySeen = seen
-				p.carryQueue = queued
-			}
-		} else if g.replica {
-			// Mirrored sequence numbers run on across a view-change
-			// fence: the next replica generation resumes each source's
-			// ordered stream where this one stopped.
-			p.carrySeen = g.m.SeenVector()
-		}
-	}
-	if g.stop != nil {
-		select {
-		case <-g.stop:
-		default:
-			close(g.stop)
-		}
-	}
+	g.stopWatcher()
 	if g.ring != nil {
 		g.ring.Shutdown()
 	}
 	if g.m != nil {
-		g.m.Close()
+		releaseMsgs(p.carry.Queue) // a carry nobody seeded is superseded
+		p.carry.Seen, p.carry.Queue = g.m.Teardown()
+		d, dr, dup := g.m.Stats()
+		p.cfg.Stats.AddMatcher(p.rank, d, dr, dup, g.m.LaneStats())
 	}
 	if g.ep != nil {
 		g.ep.Close()
@@ -605,7 +626,7 @@ func (p *Proc) checkComm() error {
 	if p.finalize {
 		return ErrFinalized
 	}
-	if p.cfg.Local && p.seqActive {
+	if p.seqActive {
 		return nil
 	}
 	if p.gen.failed() {
@@ -626,36 +647,38 @@ func (p *Proc) Finalize() error {
 	if p.viewCtl != nil {
 		p.viewCtl.MarkFinalizing(p.rank)
 	}
-	if p.replicaOn() {
-		return p.finalizeReplica()
-	}
-	if p.cfg.Local {
+	if p.seqActive {
 		return p.finalizeLocal()
 	}
 	// Stop reacting to peers' teardown before anyone starts closing.
-	p.gen.ring.Quiesce()
-	if p.gen.stop != nil {
-		select {
-		case <-p.gen.stop:
-		default:
-			close(p.gen.stop)
-		}
+	if p.gen.ring != nil {
+		p.gen.ring.Quiesce()
 	}
+	p.gen.stopWatcher()
+	// Both copies of a replica pair join: the gather is keyed by rank,
+	// so the duplicate contribution is absorbed.
 	err := p.cfg.Ctl.Coordinator().Barrier(fmt.Sprintf("finalize/%d", p.epoch), p.rank, p.n, p.cfg.KillCh)
-	p.finalize = true
-	p.state = StateFinalized
-	p.cfg.Trace.Add(trace.KindFinalize, p.rank, p.epoch, "finalized")
-	p.teardownGen(p.gen)
+	if err != nil {
+		p.checkAlive()
+	} else if f, ok := p.gen.ep.(transport.Flusher); ok {
+		// The barrier admits a replica copy on its partner's
+		// contribution, so a lagging copy of a peer may still need
+		// frames queued on this endpoint's TCP writers: put them on the
+		// wire before it closes.
+		f.FlushBarrier()
+	}
+	p.finished()
 	return err
 }
 
-// finalizeLocal is Finalize for localized recovery. Ranks may sit at
-// different epochs (survivors never re-enter H1 unless notified), so
-// the exit barrier uses an epoch-independent key, and a failure while
-// waiting is ridden through like any other operation: recover the
-// generation, re-join the barrier. Failure detection stays armed until
-// the barrier passes — a rank that dies *during* finalize is respawned,
-// re-executes from its checkpoint, and joins the same barrier.
+// finalizeLocal is Finalize under ride-through (localized recovery).
+// Ranks may sit at different epochs (survivors never re-enter H1 unless
+// notified), so the exit barrier uses an epoch-independent key, and a
+// failure while waiting is ridden through like any other operation:
+// recover the generation, re-join the barrier. Failure detection stays
+// armed until the barrier passes — a rank that dies *during* finalize
+// is respawned, re-executes from its checkpoint, and joins the same
+// barrier.
 func (p *Proc) finalizeLocal() error {
 	for {
 		cancel, stopCancel := mergeCancel(p.cfg.KillCh, p.gen.cancelCh)
@@ -668,21 +691,21 @@ func (p *Proc) finalizeLocal() error {
 		p.recover()
 	}
 	p.gen.ring.Quiesce()
-	if p.gen.stop != nil {
-		select {
-		case <-p.gen.stop:
-		default:
-			close(p.gen.stop)
-		}
-	}
+	p.gen.stopWatcher()
+	p.finished()
+	return nil
+}
+
+// finished marks the rank finalized, tears its generation down, and
+// returns what it holds in the job's arena.
+func (p *Proc) finished() {
 	p.finalize = true
 	p.seqActive = false
 	p.state = StateFinalized
 	if p.log != nil {
 		p.cfg.Stats.AddLog(p.log.Stats())
 	}
-	p.releaseLog()
 	p.cfg.Trace.Add(trace.KindFinalize, p.rank, p.epoch, "finalized")
 	p.teardownGen(p.gen)
-	return nil
+	p.release()
 }

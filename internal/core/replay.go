@@ -43,11 +43,9 @@ func (p *Proc) replayExchange() error {
 	if err != nil {
 		return ErrFailureDetected
 	}
-	// The replay sends straight from the log's chunks: the pin keeps a
-	// concurrent trimLog from handing them back to the arena (and so to
-	// another sender) until every send has copied its payload.
-	p.log.Pin()
-	defer p.log.Unpin()
+	// The replay sends straight from the log's chunks; every send copies
+	// its payload before returning, and the log is trimmed only on this
+	// thread, so no chunk is recycled under it.
 	plan := make([][]msglog.Entry, p.n)
 	total := 0
 	for dst := 0; dst < p.n; dst++ {
@@ -99,40 +97,60 @@ func (p *Proc) replayExchange() error {
 	return nil
 }
 
-// trimLog garbage-collects the sender log once every rank's committed
-// checkpoint acknowledges receipt (the log stays bounded by one
-// checkpoint interval of traffic). Runs asynchronously: the all-gather
-// completes when the last rank commits the same checkpoint — or, after
-// a failure, when the respawned rank re-executes the checkpoint
-// exchange and commits it again. The key is scoped by the log era so a
-// level-2 fallback (which rolls l1Count back) can never mix a fresh
-// round with stale pre-fallback contributions. n, era, and epoch are
-// passed by value: the goroutine must not read p.n, p.logEra, or
-// p.epoch, which the application thread mutates during recovery and
-// view changes.
-func (p *Proc) trimLog(n, l1Count int, era, epoch uint32, seen []uint64) {
-	vals, err := p.cfg.Ctl.Coordinator().AllGather(
-		fmt.Sprintf("trim/%d/%d", era, l1Count), p.rank, n, encodeSeqVec(seen), p.cfg.KillCh)
-	if err != nil {
-		return
-	}
-	acked := make([]uint64, n)
-	// A checkpoint re-committed after recovery reuses its trim key, and
-	// the world may have resized since the original round completed: the
-	// cached gather result can be shorter than today's n. Ranks missing
-	// from it simply ack nothing — trimming less is always safe.
-	for dst := 0; dst < n && dst < len(vals); dst++ {
-		if dst == p.rank {
+// trimRound is one checkpoint's log-trim all-gather this rank has
+// contributed to but not yet applied.
+type trimRound struct {
+	key     string
+	n       int
+	l1Count int
+	val     []byte // this rank's contribution: its watermarks at the capture
+}
+
+// trimLog garbage-collects the sender log at a checkpoint commit, on
+// the application thread: entries every receiver's committed
+// checkpoint acknowledges can never be replayed again. The rank
+// contributes its watermarks at this checkpoint's capture to the
+// checkpoint's trim round, then applies the newest round every rank
+// has contributed to and drops the older ones it subsumes. The
+// previous checkpoint's round is always complete by then — no rank
+// commits a checkpoint before every rank committed the one before — so
+// at a commit the log holds about one checkpoint interval of traffic.
+// After a failure a round completes when the respawned rank
+// re-executes the checkpoint exchange and contributes again. The key
+// is scoped by the log era so a level-2 fallback (which rolls l1Count
+// back, and drops the pending rounds) can never mix a fresh round with
+// stale pre-fallback contributions.
+func (p *Proc) trimLog(l1Count int, seen []uint64) {
+	p.trims = append(p.trims, trimRound{
+		key: fmt.Sprintf("trim/%d/%d", p.logEra, l1Count), n: p.n, l1Count: l1Count, val: encodeSeqVec(seen),
+	})
+	coord := p.cfg.Ctl.Coordinator()
+	for i := len(p.trims) - 1; i >= 0; i-- {
+		t := p.trims[i]
+		vals, ok := coord.TryAllGather(t.key, p.rank, t.n, t.val)
+		if !ok {
 			continue
 		}
-		v := decodeSeqVec(vals[dst])
-		if p.rank < len(v) {
-			acked[dst] = v[p.rank]
+		p.trims = append(p.trims[:0], p.trims[i+1:]...)
+		acked := make([]uint64, t.n)
+		// A checkpoint re-committed after recovery reuses its trim key,
+		// and the world may have resized since the original round
+		// completed: the cached gather result can be shorter than the
+		// round's n. Ranks missing from it simply ack nothing — trimming
+		// less is always safe.
+		for dst := 0; dst < t.n && dst < len(vals); dst++ {
+			if dst == p.rank {
+				continue
+			}
+			v := decodeSeqVec(vals[dst])
+			if p.rank < len(v) {
+				acked[dst] = v[p.rank]
+			}
 		}
-	}
-	ents, bytes := p.log.Trim(acked)
-	if ents > 0 {
-		p.cfg.Trace.Add(trace.KindLogTrim, p.rank, epoch,
-			"released %d entr(ies), %d B (checkpoint %d committed everywhere)", ents, bytes, l1Count)
+		if ents, bytes := p.log.Trim(acked); ents > 0 {
+			p.cfg.Trace.Add(trace.KindLogTrim, p.rank, p.epoch,
+				"released %d entr(ies), %d B (checkpoint %d committed everywhere)", ents, bytes, t.l1Count)
+		}
+		return
 	}
 }

@@ -3,9 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
-	"fmi/internal/trace"
 	"fmi/internal/transport"
 )
 
@@ -52,6 +50,12 @@ func (p *Proc) replicaOn() bool {
 func (p *Proc) promotedSelf() bool {
 	return p.cfg.Shadow && p.cfg.Replica != nil && p.repRegistered &&
 		p.cfg.Replica.PromotedSelf(p.rank, p.repInc)
+}
+
+// actingShadow reports whether this process runs as its rank's shadow:
+// launched or re-provisioned as one and not promoted since.
+func (p *Proc) actingShadow() bool {
+	return p.cfg.Shadow && !p.promotedSelf()
 }
 
 // sendReplica is sendFrame's replica-mode path: one sequence number per
@@ -123,112 +127,28 @@ func (p *Proc) sendReplica(world int, ctx uint32, tag int32, kind byte, payload 
 	return err
 }
 
-// buildReplicaGeneration is buildGeneration for active replica mode:
-// no H1 tree exchange, no H2 ring — endpoints rendezvous through the
-// registry instead, and failure *notification* is the control plane
-// only (masked failures never notify; a pair loss deactivates the
-// registry and bumps the epoch, after which the plain path takes
-// over).
-func (p *Proc) buildReplicaGeneration() error {
-	p.checkAlive()
-	p.teardownGen(p.gen)
-	p.gen = nil
-	p.adoptView()
-	p.state = StateBootstrapping
-	p.cfg.Trace.Add(trace.KindState, p.rank, p.epoch, "H1 bootstrapping (replica)")
-
+// registryRendezvous is active replica mode's rendezvous: no H1 tree
+// exchange, no H2 ring — endpoints register with the registry instead,
+// and failure *notification* is the control plane only (masked failures
+// never notify; a pair loss deactivates the registry and bumps the
+// epoch, after which the rollback rendezvous takes over).
+func (p *Proc) registryRendezvous(g *generation, cancel <-chan struct{}) error {
+	g.replica = true
 	reg := p.cfg.Replica
-	g := &generation{
-		epoch:     p.epoch,
-		failureCh: make(chan struct{}),
-		cancelCh:  make(chan struct{}),
-		stop:      make(chan struct{}),
-		replica:   true,
-	}
-	ep, err := newEndpoint(&p.cfg)
-	if err != nil {
-		return fmt.Errorf("fmi: endpoint: %w", err)
-	}
-	g.ep = ep
-	g.m = transport.NewMatcher(ep)
-	g.m.AdvanceEpoch(p.epoch)
-	g.m.AdvanceView(p.viewVersion())
-	// Mirrored sends arrive twice at every endpoint, over one path per
-	// copy of the sender; the ordered watermarks keep exactly the first
-	// copy of each sequence number and deliver them in sequence order.
-	g.m.EnableOrderedDedup(p.n, p.carrySeen)
-	p.carrySeen = nil
-
 	// A promoted shadow IS its rank's primary now: across a view-change
 	// fence it re-registers on the primary side of the pair. The check
 	// is per-process (incarnation-keyed), not per-seat: a replacement
 	// shadow provisioned after the promotion also sees a promoted seat
 	// but must register — and keep acting — as the shadow.
-	if p.cfg.Shadow && !p.promotedSelf() {
-		p.repInc = reg.SetShadow(p.rank, ep.Addr(), p.syncPending)
+	if p.actingShadow() {
+		p.repInc = reg.SetShadow(p.rank, g.ep.Addr(), p.syncPending)
 		p.repRegistered = true
 	} else {
-		reg.SetPrimary(p.rank, ep.Addr())
+		reg.SetPrimary(p.rank, g.ep.Addr())
 	}
-
 	// The replicated analogue of the bootstrap barrier: every pair
 	// fully registered before any send resolves.
-	cancel, stopCancel := mergeCancel(p.cfg.KillCh, p.cfg.Ctl.EpochNotify(p.epoch))
-	defer stopCancel()
-	if err := reg.Ready(cancel); err != nil {
-		p.teardownGen(g)
-		return p.classify(err)
-	}
-
-	// Failure watcher: control plane only. The epoch never advances
-	// while failures are being masked, so procs sit in this generation
-	// for the whole run unless a pair loss degrades the job.
-	ctlCh := p.cfg.Ctl.EpochNotify(p.epoch)
-	kill := p.cfg.KillCh
-	go func(g *generation) {
-		defer close(g.cancelCh)
-		select {
-		case <-ctlCh:
-		case <-kill:
-			return
-		case <-g.stop:
-			return
-		}
-		g.notifiedAt = time.Now()
-		p.cfg.Trace.Add(trace.KindNotified, p.rank, g.epoch, "failure notification received")
-		close(g.failureCh)
-	}(g)
-
-	p.gen = g
-	return nil
-}
-
-// finalizeReplica is Finalize while replicated routing is in force.
-// There is no ring to quiesce; both members of every pair join the
-// coordinator barrier (its gather is keyed by rank, so the duplicate
-// contribution is absorbed) and tear down.
-func (p *Proc) finalizeReplica() error {
-	if p.gen.stop != nil {
-		select {
-		case <-p.gen.stop:
-		default:
-			close(p.gen.stop)
-		}
-	}
-	if err := p.cfg.Ctl.Coordinator().Barrier(fmt.Sprintf("finalize/%d", p.epoch), p.rank, p.n, p.cfg.KillCh); err != nil {
-		return p.classify(err)
-	}
-	// The barrier admits this copy on its partner's contribution, so a
-	// lagging copy of a peer may still need frames queued on this
-	// endpoint's TCP writers: put them on the wire before it closes.
-	if f, ok := p.gen.ep.(transport.Flusher); ok {
-		f.FlushBarrier()
-	}
-	p.finalize = true
-	p.state = StateFinalized
-	p.cfg.Trace.Add(trace.KindFinalize, p.rank, p.epoch, "finalized")
-	p.teardownGen(p.gen)
-	return nil
+	return reg.Ready(cancel)
 }
 
 // syncSnapshot is a primary's full live state, shipped to a
@@ -410,14 +330,15 @@ func (p *Proc) serveShadowSync(segs [][]byte) {
 }
 
 // applyShadowSync runs on a re-provisioned shadow at its first Loop
-// call: block for the primary's snapshot, copy it into the
-// application segments, adopt the runtime counters, and splice into
-// the mirrored message streams. SeedSeenPurge drops the stale copies
-// this shadow queued before the snapshot was harvested (they are
-// inside the snapshot queue already); Inject restores the primary's
-// unconsumed set. Messages racing the harvest are either at or below
-// the snapshot watermarks (suppressed on arrival here) or above them
-// (delivered fresh) — exactly-once either way.
+// call: block for the primary's snapshot, copy it into the application
+// segments, adopt the runtime counters, and splice into the mirrored
+// message streams (adoptMsgState): seeding the snapshot's watermarks
+// drops the stale copies this shadow queued before the snapshot was
+// harvested (they are inside the snapshot queue already) and files the
+// held frames that now continue the streams; Inject restores the
+// primary's unconsumed set. Messages racing the harvest are either at
+// or below the snapshot watermarks (suppressed on arrival here) or
+// above them (delivered fresh) — exactly-once either way.
 //
 // Messages sent before a sender flipped to mirroring go only to the
 // primary and can still be in TCP flight when the snapshot would be
@@ -463,10 +384,7 @@ func (p *Proc) applyShadowSync(segs [][]byte) {
 	p.nextCtx = snap.NextCtx
 	p.commSeq = snap.CommSeq
 	copy(p.repSeq, snap.Msg.SendSeqs)
-	p.gen.m.SeedSeenPurge(snap.Msg.Seen)
-	if len(snap.Msg.Queue) > 0 {
-		p.gen.m.Inject(snap.Msg.Queue)
-	}
+	adoptMsgState(p.gen.m, p.n, snap.Msg)
 	p.ckptSeeded = true
 	p.syncPending = false
 	p.cfg.Replica.MarkSynced(p.rank, p.l1Count)

@@ -3,18 +3,17 @@ package msglog
 import (
 	"bytes"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"fmi/internal/bufpool"
 )
 
 // liveChunks counts the arena buffers the log holds: the chunks of
-// every stream plus those set aside by a pin.
+// every stream.
 func liveChunks(l *Log) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := len(l.deferred)
+	n := 0
 	for i := range l.streams {
 		n += l.streams[i].chunks.len()
 	}
@@ -33,81 +32,6 @@ func pattern(seq uint64, n int) []byte {
 		copy(b[k:], b[:k])
 	}
 	return b
-}
-
-// TestReplayPinSurvivesConcurrentTrim replays After's entries while a
-// goroutine trims everything and records fresh traffic into the
-// arena. Were a pinned chunk handed back, the debug arena would give
-// it to the next Record, which overwrites it: the replayed bytes would
-// differ (or the race detector would flag the write), and releasing it
-// a second time at Unpin would panic as a double release.
-func TestReplayPinSurvivesConcurrentTrim(t *testing.T) {
-	arena := bufpool.NewDebug()
-	l := NewPooled(3, arena)
-	sizes := []int{8, 100, 4 << 10, 70 << 10, 1, 200 << 10, 64 << 10, 33}
-	want := map[uint64][]byte{}
-	var last uint64
-	for i := 0; i < 40; i++ {
-		p := pattern(uint64(i+1), sizes[i%len(sizes)])
-		last = l.Record(1, 1, int32(i), 0, p)
-		want[last] = p
-	}
-
-	l.Pin()
-	ents := l.After(1, 0)
-	if len(ents) != len(want) {
-		t.Fatalf("After returned %d entries, want %d", len(ents), len(want))
-	}
-	stop := make(chan struct{})
-	trimmed := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		junk := bytes.Repeat([]byte{0xff}, 96<<10)
-		acked := []uint64{0, last, 0}
-		for round := 0; ; round++ {
-			l.Trim(acked)
-			if round == 0 {
-				close(trimmed)
-			}
-			for k := 0; k < 4; k++ {
-				acked[2] = l.Record(2, 1, 0, 0, junk[:(k+1)*(20<<10)])
-			}
-			select {
-			case <-stop:
-				return
-			default:
-			}
-		}
-	}()
-	<-trimmed
-	sent := make([]byte, 200<<10)
-	for pass := 0; pass < 20; pass++ {
-		for _, e := range ents {
-			// What a transport Send does with the payload: copy it out.
-			n := copy(sent, e.Data)
-			if !bytes.Equal(sent[:n], want[e.Seq]) {
-				close(stop)
-				wg.Wait()
-				t.Fatalf("pass %d: entry %d replayed bytes differ from what was recorded", pass, e.Seq)
-			}
-		}
-	}
-	close(stop)
-	wg.Wait()
-	l.Unpin()
-
-	if left := l.After(1, 0); len(left) != 0 {
-		t.Fatalf("trim left %d entries to dst 1", len(left))
-	}
-	if got, live := arena.Outstanding(), liveChunks(l); got != live {
-		t.Fatalf("arena has %d buffers out, log holds %d chunks", got, live)
-	}
-	l.Reset()
-	if got := arena.Outstanding(); got != 0 {
-		t.Fatalf("%d arena buffers outstanding after teardown: %v", got, arena.Leaks())
-	}
 }
 
 // model is the reference log: plain per-destination lists of entries
@@ -144,7 +68,7 @@ func (m *model) stats() (entries, bytes int) {
 }
 
 // TestLogMatchesModel drives random Record/Trim/After/Reset/Resize/
-// RestoreSendSeqs/Pin/Unpin sequences with payloads of 0 B–200 KiB
+// RestoreSendSeqs sequences with payloads of 0 B–200 KiB
 // against the reference model: sequence numbers, After's contents and
 // Stats must agree, and the debug arena must have exactly as many
 // buffers out as the log holds chunks — none after teardown.
@@ -156,7 +80,6 @@ func TestLogMatchesModel(t *testing.T) {
 		l := NewPooled(n, arena)
 		m := &model{}
 		m.resize(n)
-		pins := 0
 		size := func() int {
 			switch rng.Intn(4) {
 			case 0:
@@ -170,7 +93,7 @@ func TestLogMatchesModel(t *testing.T) {
 			}
 		}
 		for step := 0; step < 600; step++ {
-			op := rng.Intn(100)
+			op := rng.Intn(90)
 			switch {
 			case op < 50:
 				dst := rng.Intn(n)
@@ -226,7 +149,7 @@ func TestLogMatchesModel(t *testing.T) {
 				n = 1 + rng.Intn(5)
 				l.Resize(n)
 				m.resize(n)
-			case op < 90:
+			default:
 				seqs := make([]uint64, rng.Intn(n+1))
 				for i := range seqs {
 					seqs[i] = m.seqs[i] + uint64(rng.Intn(3))
@@ -237,14 +160,6 @@ func TestLogMatchesModel(t *testing.T) {
 				copy(m.seqs, seqs)
 				for i := len(seqs); i < n; i++ {
 					m.seqs[i] = 0
-				}
-			case op < 95:
-				l.Pin()
-				pins++
-			default:
-				if pins > 0 {
-					l.Unpin()
-					pins--
 				}
 			}
 			got := l.SendSeqs()
@@ -262,13 +177,10 @@ func TestLogMatchesModel(t *testing.T) {
 			}
 		}
 		l.Reset()
-		for ; pins > 0; pins-- {
-			l.Unpin()
-		}
 		if out := arena.Outstanding(); out != 0 {
 			t.Fatalf("seed %d: %d arena buffers outstanding after teardown", seed, out)
 		}
-		// A trim still in flight at teardown finds nothing to release.
+		// A Trim after teardown finds nothing to release.
 		acked := make([]uint64, n)
 		for i := range acked {
 			acked[i] = ^uint64(0)

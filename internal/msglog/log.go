@@ -14,8 +14,7 @@
 // (bufpool): each destination's log is a FIFO of chunks, Record bumps
 // the payload into the tail chunk's free space or takes a fresh chunk
 // of max(64 KiB, n) bytes, and a chunk goes back to the arena once
-// the trim point passes its last entry (or on Reset and Resize). A
-// replay borrows the chunks between Pin and Unpin.
+// the trim point passes its last entry (or on Reset and Resize).
 package msglog
 
 import (
@@ -33,8 +32,7 @@ const chunkSize = 64 << 10
 // Entry is one logged message. Data is a private copy taken at Record
 // time, so later mutation of the caller's buffer cannot corrupt a
 // replay. It points into the log's chunk memory and stays valid until
-// the entry is trimmed — or, for entries read between Pin and Unpin,
-// until Unpin.
+// the entry is trimmed (or the log Reset or Resized past it).
 type Entry struct {
 	Seq  uint64
 	Ctx  uint32
@@ -59,8 +57,7 @@ type stream struct {
 
 // Log is one rank's send log: per-destination sequence counters plus
 // the retained entries, ordered by ascending sequence number. All
-// methods are safe for concurrent use (the trim runs asynchronously to
-// the sending application thread).
+// methods are safe for concurrent use.
 type Log struct {
 	mu      sync.Mutex
 	n       int
@@ -68,9 +65,6 @@ type Log struct {
 	lastSeq []uint64 // last sequence number assigned per destination
 	streams []stream
 	bytes   int // payload bytes currently retained
-
-	pins     int      // open Pin calls
-	deferred [][]byte // chunks released while pinned, put back at the last Unpin
 }
 
 // New creates an empty log for a world of n ranks whose chunks are
@@ -115,8 +109,8 @@ func (l *Log) Record(dst int, ctx uint32, tag int32, kind byte, data []byte) uin
 // After returns the retained entries for dst with Seq > seq, in
 // sequence order — exactly what a recovering receiver that has
 // acknowledged seq still needs replayed. The entries' Data aliases the
-// log's chunks: a caller that reads it while a Trim may run must hold
-// a Pin.
+// log's chunks: a caller reading it must not Trim, Reset or Resize the
+// log meanwhile.
 func (l *Log) After(dst int, seq uint64) []Entry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -130,40 +124,6 @@ func (l *Log) After(dst int, seq uint64) []Entry {
 	return out
 }
 
-// Pin keeps every chunk the log holds now in place until the matching
-// Unpin: a chunk released meanwhile (by Trim, Reset or Resize) is set
-// aside instead of going back to the arena, so entries read by After
-// stay intact while they are being sent.
-func (l *Log) Pin() {
-	l.mu.Lock()
-	l.pins++
-	l.mu.Unlock()
-}
-
-// Unpin ends one Pin; the last one returns the chunks set aside.
-func (l *Log) Unpin() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.pins--; l.pins > 0 {
-		return
-	}
-	for i, buf := range l.deferred {
-		l.arena.Put(buf)
-		l.deferred[i] = nil
-	}
-	l.deferred = l.deferred[:0]
-}
-
-// release returns one chunk to the arena, or sets it aside while the
-// log is pinned. Caller holds l.mu.
-func (l *Log) release(buf []byte) {
-	if l.pins > 0 {
-		l.deferred = append(l.deferred, buf)
-		return
-	}
-	l.arena.Put(buf)
-}
-
 // drop releases everything retained for one destination. Caller holds
 // l.mu.
 func (l *Log) drop(s *stream) {
@@ -171,7 +131,7 @@ func (l *Log) drop(s *stream) {
 		l.bytes -= len(e.Data)
 	}
 	for _, c := range s.chunks.live() {
-		l.release(c.buf)
+		l.arena.Put(c.buf)
 	}
 	s.ents.reset()
 	s.chunks.reset()
@@ -199,7 +159,7 @@ func (l *Log) Trim(acked []uint64) (entries, bytes int) {
 			}
 			c := s.chunks.front()
 			if c.live--; c.live == 0 {
-				l.release(s.chunks.pop().buf)
+				l.arena.Put(s.chunks.pop().buf)
 			}
 		}
 	}
@@ -256,13 +216,11 @@ func (l *Log) Resize(n int) {
 	l.n, l.lastSeq, l.streams = n, seqs, streams
 }
 
-// Reset drops all entries, returns every chunk to the arena (after
-// the last Unpin, if pinned) and zeroes every counter — used when a
-// local-mode run falls back to a global rollback (level-2 restore),
-// after which every rank re-executes and regenerates all streams from
-// scratch in lockstep, and at the rank's teardown, after which a Trim
-// still in flight from the asynchronous checkpoint acknowledgement
-// finds nothing to release.
+// Reset drops all entries, returns every chunk to the arena and zeroes
+// every counter — used when a local-mode run falls back to a global
+// rollback (level-2 restore), after which every rank re-executes and
+// regenerates all streams from scratch in lockstep, and at the rank's
+// teardown.
 func (l *Log) Reset() {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -155,8 +155,9 @@ type Job struct {
 	spareUsed   int
 	app         App
 	failedNodes map[int]bool
-	finCh       chan struct{} // closed on completion or abort (Done)
-	rep         *repState     // replica recovery state; nil otherwise
+	finCh       chan struct{}  // closed on completion or abort (Done)
+	rep         *repState      // replica recovery state; nil otherwise
+	procs       sync.WaitGroup // one per rank or shadow process goroutine
 
 	view       *view.View   // current membership view (never nil after Launch)
 	resize     *resizeState // armed view-change fence; nil when idle
@@ -399,6 +400,23 @@ func (j *Job) Wait() (*Report, error) {
 	return rep, nil
 }
 
+// AwaitExit waits up to timeout for every rank and shadow process the
+// job started to return — a finished job reaps its shadows and a
+// killed process unwinds asynchronously — and reports whether all did.
+func (j *Job) AwaitExit(timeout time.Duration) bool {
+	done := make(chan struct{})
+	go func() {
+		j.procs.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return true
+	case <-time.After(timeout):
+		return false
+	}
+}
+
 // Coordinator implements core.Control.
 func (j *Job) Coordinator() *bootstrap.Coordinator { return j.coord }
 
@@ -550,6 +568,7 @@ func (j *Job) spawnRank(t *task, rank int, epoch uint32, replacement bool, start
 	j.rankProc[rank] = cp
 	j.rankNode[rank] = t.node.ID
 	v := j.view
+	j.procs.Add(1)
 	j.mu.Unlock()
 	t.addChild(rank, cp)
 
@@ -579,6 +598,7 @@ func (j *Job) spawnRank(t *task, rank int, epoch uint32, replacement bool, start
 		Pool:          j.cfg.Pool,
 	}
 	go func() {
+		defer j.procs.Done()
 		defer func() {
 			if v := recover(); v != nil {
 				if core.IsKilledPanic(v) {
@@ -980,6 +1000,7 @@ func (j *Job) spawnShadow(t *task, rank int, needSync bool, epoch uint32, startL
 	j.rep.shadowProc[rank] = cp
 	j.rep.shadowNode[rank] = t.node.ID
 	v := j.view
+	j.procs.Add(1)
 	j.mu.Unlock()
 	t.addChild(rank, cp)
 
@@ -1008,6 +1029,7 @@ func (j *Job) spawnShadow(t *task, rank int, needSync bool, epoch uint32, startL
 		Pool:          j.cfg.Pool,
 	}
 	go func() {
+		defer j.procs.Done()
 		defer func() {
 			if v := recover(); v != nil {
 				if core.IsKilledPanic(v) {

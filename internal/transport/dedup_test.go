@@ -11,7 +11,7 @@ func settle() { time.Sleep(10 * time.Millisecond) }
 
 func TestDedupSuppressesDuplicateSeqs(t *testing.T) {
 	a, b, mb := newMatcherPair(t)
-	mb.EnableDedup(4)
+	mb.Seed(4, nil)
 	a.Send(b.Addr(), Msg{Src: 1, Tag: 1, Seq: 1, Data: []byte("one")})
 	a.Send(b.Addr(), Msg{Src: 1, Tag: 1, Seq: 2, Data: []byte("two")})
 	// A replaying sender re-sends seq 1 and 2; both must be suppressed.
@@ -39,7 +39,7 @@ func TestDedupSuppressesDuplicateSeqs(t *testing.T) {
 
 func TestDedupUnsequencedExempt(t *testing.T) {
 	a, b, mb := newMatcherPair(t)
-	mb.EnableDedup(4)
+	mb.Seed(4, nil)
 	// Seq 0 control traffic is never deduplicated, even repeated.
 	a.Send(b.Addr(), Msg{Src: 2, Tag: 7, Data: []byte("c1")})
 	a.Send(b.Addr(), Msg{Src: 2, Tag: 7, Data: []byte("c2")})
@@ -53,8 +53,7 @@ func TestDedupUnsequencedExempt(t *testing.T) {
 
 func TestDedupSeedSeenAndWatermarks(t *testing.T) {
 	a, b, mb := newMatcherPair(t)
-	mb.EnableDedup(4)
-	mb.SeedSeen([]uint64{0, 5, 0, 0})
+	mb.Seed(4, []uint64{0, 5, 0, 0})
 	// Everything at or below the seeded watermark is a duplicate.
 	a.Send(b.Addr(), Msg{Src: 1, Tag: 1, Seq: 4, Data: []byte("old")})
 	a.Send(b.Addr(), Msg{Src: 1, Tag: 1, Seq: 5, Data: []byte("old")})
@@ -67,8 +66,8 @@ func TestDedupSeedSeenAndWatermarks(t *testing.T) {
 	if seen[1] != 6 {
 		t.Fatalf("seen[1] = %d, want 6", seen[1])
 	}
-	// SeedSeen never moves a watermark backwards.
-	mb.SeedSeen([]uint64{0, 2, 0, 0})
+	// Seed never moves a watermark backwards.
+	mb.Seed(4, []uint64{0, 2, 0, 0})
 	if got := mb.SeenVector()[1]; got != 6 {
 		t.Fatalf("watermark regressed to %d", got)
 	}
@@ -76,7 +75,7 @@ func TestDedupSeedSeenAndWatermarks(t *testing.T) {
 
 func TestHarvestAndInjectCarryOver(t *testing.T) {
 	a, b, mb := newMatcherPair(t)
-	mb.EnableDedup(4)
+	mb.Seed(4, nil)
 	// One sequenced message accepted but unconsumed, one control message.
 	a.Send(b.Addr(), Msg{Src: 3, Tag: 2, Seq: 1, Flags: FlagReplay, Data: []byte("pending")})
 	a.Send(b.Addr(), Msg{Src: 3, Tag: -9, Data: []byte("ctl")})
@@ -102,8 +101,7 @@ func TestHarvestAndInjectCarryOver(t *testing.T) {
 	defer c.Close()
 	m2 := NewMatcher(c)
 	defer m2.Close()
-	m2.EnableDedup(4)
-	m2.SeedSeen(seen)
+	m2.Seed(4, seen)
 	m2.Inject(queued)
 	msg, ok := m2.TryRecv(0, 3, 2)
 	if !ok || string(msg.Data) != "pending" {
@@ -117,7 +115,7 @@ func TestHarvestAndInjectCarryOver(t *testing.T) {
 
 func TestDedupOutOfRangeSourceDropped(t *testing.T) {
 	_, _, mb := newMatcherPair(t)
-	mb.EnableDedup(2)
+	mb.Seed(2, nil)
 	mb.ingest(Msg{Src: 99, Tag: 1, Seq: 1, Data: []byte("bogus")})
 	if _, ok := mb.TryRecv(0, 99, 1); ok {
 		t.Fatal("sequenced message with out-of-range source accepted")
@@ -126,10 +124,11 @@ func TestDedupOutOfRangeSourceDropped(t *testing.T) {
 
 func TestOrderedDedupHoldsFramesAboveGap(t *testing.T) {
 	_, _, mb := newMatcherPair(t)
-	mb.EnableOrderedDedup(4, []uint64{0, 4, 0, 0})
+	mb.Seed(4, []uint64{0, 4, 0, 0})
 	// One copy of source 1 began mirroring to this endpoint late and
-	// delivers 6 and 7 before the other copy's 5 lands. A plain high
-	// watermark would accept 6 and then drop 5 as a duplicate.
+	// delivers 6 and 7 before the other copy's 5 lands (or, under local
+	// recovery, 5 comes back only in a replay). A plain high watermark
+	// would accept 6 and then drop 5 as a duplicate.
 	mb.ingest(Msg{Src: 1, Tag: 1, Seq: 6, Data: []byte("six")})
 	mb.ingest(Msg{Src: 1, Tag: 1, Seq: 7, Data: []byte("seven")})
 	if msg, ok := mb.TryRecv(0, 1, 1); ok {
@@ -156,14 +155,14 @@ func TestOrderedDedupHoldsFramesAboveGap(t *testing.T) {
 
 func TestOrderedDedupSeedReleasesHeldFrames(t *testing.T) {
 	_, _, mb := newMatcherPair(t)
-	mb.EnableOrderedDedup(4, nil)
+	mb.Seed(4, nil)
 	// A re-provisioned copy hears mirrored frames before its state
 	// snapshot: they wait until the snapshot's watermarks arrive, and
 	// those at or below them are the snapshot's own.
 	mb.ingest(Msg{Src: 2, Tag: 1, Seq: 8, Data: []byte("eight")})
 	mb.ingest(Msg{Src: 2, Tag: 1, Seq: 9, Data: []byte("nine")})
 	mb.ingest(Msg{Src: 2, Tag: 1, Seq: 10, Data: []byte("ten")})
-	mb.SeedSeenPurge([]uint64{0, 0, 8, 0})
+	mb.Seed(4, []uint64{0, 0, 8, 0})
 	for _, want := range []string{"nine", "ten"} {
 		msg, ok := mb.TryRecv(0, 2, 1)
 		if !ok || string(msg.Data) != want {
@@ -177,8 +176,7 @@ func TestOrderedDedupSeedReleasesHeldFrames(t *testing.T) {
 
 func TestInjectKeepsSequenceOrder(t *testing.T) {
 	_, _, mb := newMatcherPair(t)
-	mb.EnableDedup(4)
-	mb.SeedSeen([]uint64{0, 0, 3, 0})
+	mb.Seed(4, []uint64{0, 0, 3, 0})
 	// A newer message arrived directly before the older, already
 	// accepted ones are spliced in: the splice must go ahead of it.
 	mb.ingest(Msg{Src: 2, Tag: 1, Seq: 4, Data: []byte("four")})
@@ -191,5 +189,77 @@ func TestInjectKeepsSequenceOrder(t *testing.T) {
 		if !ok || string(msg.Data) != want {
 			t.Fatalf("got %q %v, want %q", msg.Data, ok, want)
 		}
+	}
+}
+
+func TestSeedPurgesQueuedFramesAtOrBelowWatermark(t *testing.T) {
+	_, _, mb := newMatcherPair(t)
+	mb.Seed(4, nil)
+	// Frames a shadow queued before its primary's snapshot arrived are
+	// inside the snapshot: seeding its watermarks drops them.
+	mb.ingest(Msg{Src: 3, Tag: 1, Seq: 1, Data: []byte("one")})
+	mb.ingest(Msg{Src: 3, Tag: 1, Seq: 2, Data: []byte("two")})
+	mb.ingest(Msg{Src: 3, Tag: 1, Data: []byte("ctl")}) // unsequenced: kept
+	mb.Seed(4, []uint64{0, 0, 0, 3})
+	mb.ingest(Msg{Src: 3, Tag: 1, Seq: 4, Data: []byte("four")})
+	for _, want := range []string{"ctl", "four"} {
+		msg, ok := mb.TryRecv(0, 3, 1)
+		if !ok || string(msg.Data) != want {
+			t.Fatalf("got %q %v, want %q", msg.Data, ok, want)
+		}
+	}
+	if _, _, dup := mb.Stats(); dup != 2 {
+		t.Fatalf("dupSuppressed = %d, want 2 (the purged frames)", dup)
+	}
+}
+
+func TestSeedKeepsFramesAboveHandedOverWatermark(t *testing.T) {
+	_, _, mb := newMatcherPair(t)
+	mb.Seed(4, nil)
+	// A re-provisioned shadow hears a fresh stream (a grow joiner's,
+	// mirrored from its first message) ahead of its primary: it has
+	// accepted 1..4 when the snapshot says the primary holds 1..3. The
+	// snapshot covers 1..3; 4 is in no snapshot and must stay.
+	for seq, data := range []string{"one", "two", "three", "four"} {
+		mb.ingest(Msg{Src: 2, Tag: 1, Seq: uint64(seq + 1), Data: []byte(data)})
+	}
+	mb.Seed(4, []uint64{0, 0, 3, 0})
+	mb.Inject([]Msg{{Src: 2, Tag: 1, Seq: 3, Data: []byte("three (snapshot)")}})
+	for _, want := range []string{"three (snapshot)", "four"} {
+		msg, ok := mb.TryRecv(0, 2, 1)
+		if !ok || string(msg.Data) != want {
+			t.Fatalf("got %q %v, want %q", msg.Data, ok, want)
+		}
+	}
+	if got := mb.SeenVector()[2]; got != 4 {
+		t.Fatalf("seen[2] = %d, want 4 (watermarks never move back)", got)
+	}
+	mb.ingest(Msg{Src: 2, Tag: 1, Seq: 4, Data: []byte("four, second copy")})
+	mb.ingest(Msg{Src: 2, Tag: 1, Seq: 5, Data: []byte("five")})
+	if msg, ok := mb.TryRecv(0, 2, 1); !ok || string(msg.Data) != "five" {
+		t.Fatalf("got %q %v, want five", msg.Data, ok)
+	}
+}
+
+func TestPendingTestReportsMatch(t *testing.T) {
+	a, b, mb := newMatcherPair(t)
+	pend, err := mb.PostRecv(0, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pend.Test() {
+		t.Fatal("Test reported a match before anything was sent")
+	}
+	a.Send(b.Addr(), Msg{Src: 1, Tag: 4, Data: []byte("hello")})
+	deadline := time.Now().Add(2 * time.Second)
+	for !pend.Test() {
+		if time.Now().After(deadline) {
+			t.Fatal("Test never reported the arrived message")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	msg, err := pend.Await(nil)
+	if err != nil || string(msg.Data) != "hello" {
+		t.Fatalf("Await after Test: %q, %v", msg.Data, err)
 	}
 }

@@ -51,14 +51,22 @@ const maxLaneSrc = 1 << 16
 // messages from a *newer* epoch (possible in the instant between a
 // peer finishing recovery and this process bumping its own epoch) are
 // buffered and delivered after the epoch advances.
-// In local recovery mode the Matcher additionally enforces duplicate
-// suppression (EnableDedup): every sequenced message (Seq != 0) at or
-// below the per-source ingress watermark is a duplicate — a re-sent
-// copy from a replaying sender or a re-executed send from a respawned
-// rank — and is counted and discarded. Replica mode switches on the
-// ordered form (EnableOrderedDedup): a source's frames reach this
-// endpoint over two paths, one per copy of the sender, and a frame
-// above a gap waits until the gap fills.
+//
+// Under the recovery protocols that sequence the data plane (local and
+// replica) the Matcher also admits each source's sequenced messages
+// (Seq != 0) exactly once and in order, after Seed arms it: a message
+// at or below the source's watermark is a duplicate — a replayed copy,
+// a re-executed send of a respawned rank, or the second copy of a
+// mirrored send — and is counted and discarded; a message above the
+// next expected number waits in the lane's held set until the gap
+// fills (the frames in between are on their way over another path or
+// will be replayed), so the watermark is always the top of a
+// contiguous prefix. That one rule serves both protocols: a plain high
+// watermark would accept the frame above the gap and then drop the
+// frame that fills it as a duplicate. Frames still held when the
+// matcher is torn down are released and counted (LaneCounters.Held);
+// whatever regenerates the gap — a replay or the partner copy —
+// regenerates them too.
 type Matcher struct {
 	ep Endpoint
 	// ingestFn is m.ingest bound once: passing a fresh method value
@@ -82,9 +90,7 @@ type Matcher struct {
 	postSeq atomic.Uint64 // posting-order tickets
 	epoch   atomic.Uint32
 	view    atomic.Uint64 // minimum acceptable membership view (0 = off)
-	dedup   atomic.Bool
-	ordered atomic.Bool  // dedup admits each source's sequence numbers in order
-	dedupN  atomic.Int64 // world size of the seen vector
+	dedupN  atomic.Int64  // world size of the seen vector; 0 = sequencing not armed
 	closed  atomic.Bool
 	closeCh chan struct{}
 }
@@ -104,10 +110,10 @@ type lane struct {
 	unHead     int   // consumed prefix length: FIFO pops advance it instead of shifting the slice
 	pending    []*recvReq
 	future     []Msg
-	seen       uint64 // highest sequenced message accepted (dedup watermark)
-	held       []Msg  // ordered dedup: frames above a sequence gap, ascending Seq
+	seen       uint64 // top of the contiguous accepted prefix (dedup watermark)
+	held       []Msg  // frames above a sequence gap, ascending Seq
 
-	delivered, dropped, dupSuppressed uint64
+	delivered, dropped, dupSuppressed, heldAtClose uint64
 }
 
 // unx returns the live unexpected window. Caller holds mu.
@@ -142,11 +148,14 @@ func clearMsgs(ms []Msg) {
 	}
 }
 
-// LaneCounters is one source lane's delivery statistics.
+// LaneCounters is one source lane's delivery statistics. Held counts
+// the frames the lane still held above a sequence gap when the matcher
+// was torn down.
 type LaneCounters struct {
 	Delivered     uint64
 	Dropped       uint64
 	DupSuppressed uint64
+	Held          uint64
 }
 
 type recvReq struct {
@@ -246,14 +255,16 @@ func (m *Matcher) unlockAll(t *laneTable) {
 // ingest files one inbound frame: it passes the epoch gate and lands
 // in its source's lane.
 func (m *Matcher) ingest(msg Msg) {
-	if m.closed.Load() {
-		msg.Release()
-		return
-	}
 	ln := m.laneFor(msg.Src)
 	ln.mu.Lock()
 	e := m.epoch.Load()
 	switch {
+	case m.closed.Load():
+		// Checked under the lane lock: Teardown empties each lane under
+		// it, so a frame filed after that would never be released.
+		ln.mu.Unlock()
+		msg.Release()
+		return
 	case msg.Epoch < e:
 		ln.dropped++
 		ln.mu.Unlock()
@@ -268,8 +279,8 @@ func (m *Matcher) ingest(msg Msg) {
 	ln.mu.Unlock()
 }
 
-// matchOrQueueLane files msg (fileLane), then — under ordered dedup —
-// every held frame the new watermark has reached. Caller holds ln.mu.
+// matchOrQueueLane files msg (fileLane), then every held frame the new
+// watermark has reached. Caller holds ln.mu.
 func (m *Matcher) matchOrQueueLane(ln *lane, msg Msg) {
 	m.fileLane(ln, msg)
 	m.releaseHeld(ln)
@@ -321,8 +332,8 @@ func (m *Matcher) fileLane(ln *lane, msg Msg) {
 		msg.Release()
 		return
 	}
-	if m.dedup.Load() && msg.Seq != 0 {
-		if int64(msg.Src) < 0 || int64(msg.Src) >= m.dedupN.Load() {
+	if n := m.dedupN.Load(); n > 0 && msg.Seq != 0 {
+		if int64(msg.Src) < 0 || int64(msg.Src) >= n {
 			msg.Release() // malformed source on a sequenced message
 			return
 		}
@@ -331,10 +342,11 @@ func (m *Matcher) fileLane(ln *lane, msg Msg) {
 			msg.Release()
 			return
 		}
-		if msg.Seq > ln.seen+1 && m.ordered.Load() {
-			// The frames in between are still on their way over the
-			// source's other path; accepting this one now would raise
-			// the watermark over them and drop them as duplicates.
+		if msg.Seq > ln.seen+1 {
+			// The frames in between are still on their way (over the
+			// source's other path, or in a replay to come); accepting
+			// this one now would raise the watermark over them and drop
+			// them as duplicates.
 			ln.hold(msg)
 			return
 		}
@@ -485,17 +497,19 @@ func (m *Matcher) wait(req *recvReq, cancel <-chan struct{}) (Msg, error) {
 	m.ep.AddWaiter(1)
 	defer m.ep.AddWaiter(-1)
 	m.pump()
+	fail := ErrCancelled
 	select {
 	case msg := <-req.reply:
 		reqPool.Put(req)
 		return msg, nil
 	case <-m.closeCh:
-		return Msg{}, ErrMatcherClosed
+		fail = ErrMatcherClosed
 	case <-cancel:
 	}
 	// Withdraw req under the lock ingress matches under: once it is
 	// off its queue nothing can send to reply, so a match that raced
-	// the cancel is already there — prefer the message.
+	// the cancel or the close is already there — prefer the message
+	// (on close it would otherwise be a frame nobody releases).
 	if req.src == AnySource {
 		m.anyMu.Lock()
 		var removed bool
@@ -514,7 +528,7 @@ func (m *Matcher) wait(req *recvReq, cancel <-chan struct{}) (Msg, error) {
 	case msg := <-req.reply:
 		return msg, nil
 	default:
-		return Msg{}, ErrCancelled
+		return Msg{}, fail
 	}
 }
 
@@ -555,6 +569,23 @@ func (p *Pending) Await(cancel <-chan struct{}) (Msg, error) {
 		return p.matched, nil
 	}
 	return p.m.wait(p.req, cancel)
+}
+
+// Test pumps the matcher's rings and reports, without blocking, whether
+// the posted receive has matched; a matched message is kept for Await.
+func (p *Pending) Test() bool {
+	if p.req == nil {
+		return true
+	}
+	p.m.pump()
+	select {
+	case msg := <-p.req.reply:
+		reqPool.Put(p.req)
+		p.req, p.matched = nil, msg
+		return true
+	default:
+		return false
+	}
 }
 
 // Recv blocks until a message matching (ctx, src, tag) arrives, the
@@ -669,7 +700,7 @@ func (m *Matcher) AdvanceView(v uint64) {
 // Stats returns (delivered, dropped, duplicate-suppressed) message
 // counts summed across lanes. dropped counts stale-epoch discards
 // (paper §IV-D); dupSuppressed counts sequenced duplicates discarded
-// by local recovery's receive-side watermarks. The rings are pumped
+// by the receive-side watermarks. The rings are pumped
 // first, so frames that have arrived but were never asked for count.
 func (m *Matcher) Stats() (delivered, dropped, dupSuppressed uint64) {
 	m.pump()
@@ -693,95 +724,58 @@ func (m *Matcher) LaneStats() []LaneCounters {
 	t := m.lockAll()
 	out := make([]LaneCounters, len(t.bySrc))
 	for i, ln := range t.bySrc {
-		out[i] = LaneCounters{Delivered: ln.delivered, Dropped: ln.dropped, DupSuppressed: ln.dupSuppressed}
+		out[i] = LaneCounters{Delivered: ln.delivered, Dropped: ln.dropped, DupSuppressed: ln.dupSuppressed, Held: ln.heldAtClose}
 	}
 	m.unlockAll(t)
 	return out
 }
 
-// EnableDedup switches on sequenced-duplicate suppression for a world
-// of n ranks. Call before any sequenced traffic arrives.
-func (m *Matcher) EnableDedup(n int) {
-	if n > 0 {
-		m.growLane(n - 1)
+// Seed arms sequenced admission for a world of n ranks and adopts
+// per-source watermarks: state carried over from the previous
+// generation's matcher on a survivor, restored from the checkpointed
+// receive state on a respawned rank, or a primary's snapshot spliced
+// into a re-provisioned shadow (nil seen: every stream starts at 1).
+// Watermarks only move forward. Under the same lane locks it purges the
+// queued sequenced messages at or below the handed-over watermarks —
+// whoever hands over a watermark hands over the unconsumed messages
+// below it too (Inject them after Seed) — and files the held frames
+// the new watermarks have reached. Messages this matcher accepted
+// above a handed-over watermark stay: a shadow can hear a stream ahead
+// of the primary whose snapshot it adopts, and those messages are in
+// no snapshot.
+func (m *Matcher) Seed(n int, seen []uint64) {
+	if len(seen) > n {
+		n = len(seen)
 	}
-	m.dedup.Store(true)
-	m.raiseDedupN(int64(n))
-}
-
-// EnableOrderedDedup is EnableDedup for streams that reach this
-// endpoint over more than one path (replica mode: each copy of a
-// sender pair mirrors every message to both copies of the receiver
-// pair). A source's sequence numbers are contiguous, but one path can
-// run ahead of the other — a promoted or freshly synced copy resumes
-// mid-stream — so a frame above the next expected number is held until
-// the ones before it arrive, and each source's messages are accepted
-// exactly once and in order. seen seeds the watermarks (nil: every
-// stream starts at 1).
-func (m *Matcher) EnableOrderedDedup(n int, seen []uint64) {
-	m.ordered.Store(true)
-	m.EnableDedup(n)
-	if len(seen) > 0 {
-		m.SeedSeen(seen)
+	if n == 0 {
+		return
 	}
-}
-
-func (m *Matcher) raiseDedupN(n int64) {
+	m.growLane(n - 1)
 	for {
 		cur := m.dedupN.Load()
-		if n <= cur {
-			return
-		}
-		if m.dedupN.CompareAndSwap(cur, n) {
-			return
+		if int64(n) <= cur || m.dedupN.CompareAndSwap(cur, int64(n)) {
+			break
 		}
 	}
-}
-
-// SeedSeen adopts per-source ingress watermarks: state carried over
-// from the previous generation's matcher on a survivor, or restored
-// from the checkpointed receive state on a respawned rank. Watermarks
-// only move forward.
-func (m *Matcher) SeedSeen(seen []uint64) {
-	m.seedSeen(seen, false)
-}
-
-// SeedSeenPurge adopts watermarks like SeedSeen and, under the same
-// lane locks, drops queued sequenced messages at or below the new
-// watermarks. A re-provisioned shadow uses this when applying its
-// primary's state snapshot: any copies the shadow queued before the
-// snapshot was taken are already inside it (the snapshot carries the
-// primary's queue), so keeping them would deliver duplicates the
-// moment the dedup filter's history jumps forward.
-func (m *Matcher) SeedSeenPurge(seen []uint64) {
-	m.seedSeen(seen, true)
-}
-
-func (m *Matcher) seedSeen(seen []uint64, purge bool) {
-	if len(seen) > 0 {
-		m.growLane(len(seen) - 1)
-	}
-	m.dedup.Store(true)
-	m.raiseDedupN(int64(len(seen)))
 	t := m.lanes.Load()
-	for i, s := range seen {
+	for i := 0; i < n; i++ {
+		var s uint64
+		if i < len(seen) {
+			s = seen[i]
+		}
 		ln := t.bySrc[i]
 		ln.mu.Lock()
-		if s > ln.seen {
-			ln.seen = s
-		}
-		if purge {
-			keep := ln.unexpected[:0]
-			for _, msg := range ln.unx() {
-				if msg.Seq != 0 && msg.Seq <= ln.seen {
-					ln.dupSuppressed++
-					msg.Release()
-				} else {
-					keep = append(keep, msg)
-				}
+		ln.seen = max(ln.seen, s)
+		keep := ln.unexpected[:0]
+		for _, msg := range ln.unx() {
+			if msg.Seq != 0 && msg.Seq <= s {
+				ln.dupSuppressed++
+				msg.Release()
+			} else {
+				keep = append(keep, msg)
 			}
-			ln.resetUnx(keep)
 		}
+		ln.resetUnx(keep)
 		m.releaseHeld(ln)
 		ln.mu.Unlock()
 	}
@@ -812,9 +806,7 @@ func (m *Matcher) ResetSeen() {
 	for _, ln := range t.bySrc {
 		ln.mu.Lock()
 		ln.seen = 0
-		for i := range ln.held {
-			ln.held[i].Release()
-		}
+		releaseAll(ln.held)
 		ln.held = nil
 		keep := ln.unexpected[:0]
 		for _, msg := range ln.unx() {
@@ -867,22 +859,31 @@ func (ln *lane) insertUnx(msg Msg) {
 	live[at] = msg
 }
 
-// HarvestState snapshots the duplicate-suppression state for carry-over
-// or checkpointing: the seen watermarks plus the sequenced
+// HarvestState snapshots the sequenced receive state for a checkpoint
+// or a shadow's sync snapshot: the seen watermarks plus the sequenced
 // (data-plane) messages accepted into the unexpected queues but not
-// yet consumed. The rings are pumped first so frames already
-// published by senders are accepted and carried across the fence
-// instead of being lost with the endpoint. Unsequenced control
-// messages and future-epoch buffers are excluded — the former are
-// generation-private, the latter were never accepted (their sequence
-// numbers are above the watermark, so a replay regenerates them). The
-// returned messages have their replay flag cleared; lanes are visited
-// in rank order, so the queue snapshot is deterministic.
+// yet consumed, which stay queued. The rings are pumped first so frames
+// already published by senders are part of it. Unsequenced control
+// messages, future-epoch buffers and held frames are excluded — the
+// first are generation-private, the others were never accepted (their
+// sequence numbers are above the watermark, so a replay or the partner
+// copy regenerates them). The returned messages share the queued
+// frames' payloads and have their replay flag cleared; lanes are
+// visited in rank order, so the queue snapshot is deterministic.
 func (m *Matcher) HarvestState() (seen []uint64, queued []Msg) {
 	m.pump()
-	n := int(m.dedupN.Load())
-	seen = make([]uint64, n)
 	t := m.lockAll()
+	seen, queued = m.harvestLocked(t)
+	m.unlockAll(t)
+	return seen, queued
+}
+
+func (m *Matcher) harvestLocked(t *laneTable) (seen []uint64, queued []Msg) {
+	n := int(m.dedupN.Load())
+	if n == 0 {
+		return nil, nil // sequencing never armed: nothing to hand over
+	}
+	seen = make([]uint64, n)
 	for i := 0; i < n && i < len(t.bySrc); i++ {
 		seen[i] = t.bySrc[i].seen
 	}
@@ -896,14 +897,58 @@ func (m *Matcher) HarvestState() (seen []uint64, queued []Msg) {
 			queued = append(queued, live[j])
 		}
 	}
+	return seen, queued
+}
+
+// Teardown shuts the matcher down at the end of its generation and
+// hands over its sequenced receive state, as HarvestState describes it:
+// the queued messages move to the caller (seed the next matcher with
+// Seed, then Inject them). Every other frame the matcher holds is
+// released — unsequenced leftovers, future-epoch buffers, and the
+// frames held above a gap, which are counted in LaneCounters.Held.
+// Blocked receives return ErrMatcherClosed. Idempotent: a second call
+// (or one after Close) hands over nothing.
+func (m *Matcher) Teardown() (seen []uint64, queued []Msg) {
+	m.pump()
+	t := m.lockAll()
+	if m.closed.CompareAndSwap(false, true) {
+		close(m.closeCh)
+		seen, queued = m.harvestLocked(t)
+		carried := seen != nil
+		for _, ln := range t.bySrc {
+			ln.empty(carried)
+		}
+		t.misc.empty(carried)
+	}
 	m.unlockAll(t)
 	return seen, queued
 }
 
-// Close shuts the matcher down; blocked receives return
-// ErrMatcherClosed.
+// Close shuts the matcher down and releases every frame it holds;
+// blocked receives return ErrMatcherClosed.
 func (m *Matcher) Close() {
-	if m.closed.CompareAndSwap(false, true) {
-		close(m.closeCh)
+	_, queued := m.Teardown()
+	releaseAll(queued)
+}
+
+// empty releases every frame the lane holds except the sequenced
+// messages a harvest carried, and counts the held ones. Caller holds
+// mu.
+func (ln *lane) empty(carried bool) {
+	for _, msg := range ln.unx() {
+		if msg.Seq == 0 || !carried {
+			msg.Release()
+		}
+	}
+	ln.resetUnx(ln.unexpected[:0])
+	ln.heldAtClose += uint64(len(ln.held))
+	releaseAll(ln.held)
+	releaseAll(ln.future)
+	ln.held, ln.future = nil, nil
+}
+
+func releaseAll(ms []Msg) {
+	for i := range ms {
+		ms[i].Release()
 	}
 }

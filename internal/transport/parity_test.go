@@ -9,8 +9,9 @@ import (
 // TestMatcherParityChanVsTCP drives the same traffic script through a
 // chan-backed and a TCP-backed matcher and asserts identical observable
 // behaviour: delivery order, unexpected-queue contents, stale-epoch
-// discard, duplicate suppression, and counters — including an epoch
-// bump with messages still in flight.
+// discard, duplicate suppression, a sequence gap held until a replay
+// fills it, and counters — including an epoch bump with messages still
+// in flight.
 func TestMatcherParityChanVsTCP(t *testing.T) {
 	type outcome struct {
 		received  []string
@@ -34,13 +35,23 @@ func TestMatcherParityChanVsTCP(t *testing.T) {
 		defer b.Close()
 		m := NewMatcher(b)
 		defer m.Close()
-		m.EnableDedup(4)
+		m.Seed(4, nil)
 		m.AdvanceEpoch(1)
 
 		send := func(msg Msg) {
 			t.Helper()
 			if err := a.Send(b.Addr(), msg); err != nil {
 				t.Fatal(err)
+			}
+		}
+		waitUntil := func(what string, cond func() bool) {
+			t.Helper()
+			deadline := time.Now().Add(2 * time.Second)
+			for !cond() {
+				if time.Now().After(deadline) {
+					t.Fatalf("timed out waiting for %s", what)
+				}
+				time.Sleep(time.Millisecond)
 			}
 		}
 
@@ -50,10 +61,8 @@ func TestMatcherParityChanVsTCP(t *testing.T) {
 		send(Msg{Src: 1, Tag: 2, Epoch: 1, Seq: 2, Data: []byte("e1-queued")})
 		send(Msg{Src: 1, Tag: 1, Epoch: 1, Seq: 1, Data: []byte("e1-dup")})
 		send(Msg{Src: 1, Tag: 1, Epoch: 1, Seq: 3, Data: []byte("e1-b")})
-		// In-flight across the epoch bump: a straggler from epoch 1
-		// (must be discarded after the bump) and an early arrival from
-		// epoch 2 (must be buffered, then delivered).
-		send(Msg{Src: 2, Tag: 5, Epoch: 1, Seq: 1, Data: []byte("stale")})
+		// In flight across the epoch bump: an early arrival from epoch 2
+		// (must be buffered, then filed once the epoch advances).
 		send(Msg{Src: 2, Tag: 5, Epoch: 2, Seq: 2, Data: []byte("future")})
 
 		var o outcome
@@ -68,26 +77,32 @@ func TestMatcherParityChanVsTCP(t *testing.T) {
 		recv(0, 1, 1) // e1-a
 		recv(0, 1, 1) // e1-b (dup suppressed in between)
 
-		// Let the stragglers land before bumping the epoch, so the
-		// "stale" message is provably in the matcher, not the network.
-		deadline := time.Now().Add(2 * time.Second)
-		for {
+		// Let the stragglers land before bumping the epoch, so they are
+		// provably in the matcher, not the network.
+		waitUntil("in-flight messages", func() bool {
 			_, dropped, dup := m.Stats()
-			if dup >= 1 && dropped == 0 {
-				unex, fut := m.queuedLen()
-				landed := unex + fut
-				if landed >= 3 {
-					break
-				}
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("timed out waiting for in-flight messages")
-			}
-			time.Sleep(time.Millisecond)
-		}
+			unex, fut := m.queuedLen()
+			return dup >= 1 && dropped == 0 && unex+fut >= 2
+		})
 
 		m.AdvanceEpoch(2)
-		recv(0, 2, 5) // future, now current
+		// Source 2's seq 1 is a straggler from epoch 1 that reaches the
+		// gate only after the bump: it is discarded before it is
+		// accepted, so seq 2 ("future") now sits above a gap and is
+		// held, not delivered.
+		send(Msg{Src: 2, Tag: 5, Epoch: 1, Seq: 1, Data: []byte("stale")})
+		waitUntil("the stale straggler", func() bool {
+			_, dropped, _ := m.Stats()
+			return dropped >= 2
+		})
+		if msg, ok := m.TryRecv(0, 2, 5); ok {
+			t.Fatalf("frame above the gap delivered before the gap filled: %q", msg.Data)
+		}
+		// A replay re-sends seq 1 under the new epoch: it fills the gap,
+		// and the held frame follows it in sequence order.
+		send(Msg{Src: 2, Tag: 5, Epoch: 2, Seq: 1, Flags: FlagReplay, Data: []byte("replayed")})
+		recv(0, 2, 5) // replayed
+		recv(0, 2, 5) // future, released from the held set
 
 		// Whatever is still queued, in arrival order.
 		for {
@@ -109,9 +124,9 @@ func TestMatcherParityChanVsTCP(t *testing.T) {
 		t.Fatalf("chan and TCP transports diverged:\nchan: %+v\ntcp:  %+v", chanOut, tcpOut)
 	}
 	want := outcome{
-		received:  []string{"e1-a", "e1-b", "future"},
+		received:  []string{"e1-a", "e1-b", "replayed", "future"},
 		leftover:  nil, // e1-queued discarded at the epoch bump
-		delivered: 3,
+		delivered: 4,
 		dropped:   2, // e1-queued + stale
 		dup:       1,
 		seen:      []uint64{0, 3, 2, 0},

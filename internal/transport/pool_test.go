@@ -99,8 +99,8 @@ func TestMatcherReleasesDrops(t *testing.T) {
 	m.AdvanceEpoch(3)
 	waitFor(t, func() bool { return pool.Outstanding() == 0 })
 
-	// Dedup suppression.
-	m.EnableDedup(4)
+	// Dedup suppression (source 1's stream resumes after seq 4).
+	m.Seed(4, []uint64{0, 4, 0, 0})
 	a.Send(b.Addr(), Msg{Src: 1, Epoch: 3, Seq: 5, Data: []byte("first")})
 	a.Send(b.Addr(), Msg{Src: 1, Epoch: 3, Seq: 5, Data: []byte("dup")})
 	msg, err := m.Recv(0, 1, AnyTag, nil)
@@ -180,5 +180,49 @@ func TestTCPPooledRoundtrip(t *testing.T) {
 			t.Fatalf("frame %d: got tag=%d data=%v (order or content lost)", i, m.Tag, m.Data)
 		}
 		m.Release()
+	}
+}
+
+// TestTeardownHandsOverAndReleases checks the end of a generation: the
+// sequenced receive state moves to the caller, every other frame goes
+// back to the arena, and frames held above a gap are counted.
+func TestTeardownHandsOverAndReleases(t *testing.T) {
+	pool := bufpool.NewDebug()
+	nw := NewChanNetwork(Options{Pool: pool})
+	a, _ := nw.NewEndpoint(nil)
+	b, _ := nw.NewEndpoint(nil)
+	defer a.Close()
+	defer b.Close()
+	m := NewMatcher(b)
+	m.AdvanceEpoch(1)
+	m.Seed(4, nil)
+	a.Send(b.Addr(), Msg{Src: 1, Epoch: 1, Seq: 1, Data: []byte("carried")})
+	a.Send(b.Addr(), Msg{Src: 1, Epoch: 1, Seq: 3, Data: []byte("held")})
+	a.Send(b.Addr(), Msg{Src: 1, Epoch: 1, Tag: -3, Data: []byte("control")})
+	a.Send(b.Addr(), Msg{Src: 2, Epoch: 2, Seq: 1, Data: []byte("future")})
+	waitFor(t, func() bool {
+		m.Stats() // pumps the rings
+		unex, fut := m.queuedLen()
+		return unex == 2 && fut == 1
+	})
+	seen, queued := m.Teardown()
+	if len(seen) != 4 || seen[1] != 1 {
+		t.Fatalf("seen = %v, want source 1 at 1", seen)
+	}
+	if len(queued) != 1 || string(queued[0].Data) != "carried" {
+		t.Fatalf("queued = %+v, want only the carried frame", queued)
+	}
+	if got := m.LaneStats()[1].Held; got != 1 {
+		t.Fatalf("Held = %d, want 1", got)
+	}
+	if got := pool.Outstanding(); got != 1 {
+		t.Fatalf("%d frames outstanding after teardown, want 1 (the carried one): %v", got, pool.Leaks())
+	}
+	queued[0].Release()
+	if got := pool.Outstanding(); got != 0 {
+		t.Fatalf("%d frames outstanding, want 0", got)
+	}
+	if seen, queued := m.Teardown(); seen != nil || queued != nil {
+		t.Fatal("a second Teardown handed state over again")
 	}
 }

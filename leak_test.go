@@ -11,7 +11,8 @@ import (
 
 // TestJobLeavesNoGoroutines runs jobs back to back on both transports
 // under every recovery protocol, failure-free and with one scripted
-// kill, and checks that each finished job leaves no goroutine behind: a
+// kill, then grow and shrink jobs under local and replica recovery, and
+// checks that each finished job leaves no goroutine behind: a
 // long-lived process (fmiserve, a benchmark loop) runs job after job,
 // and whatever a job leaves running keeps its task, ring and buffers
 // reachable.
@@ -36,18 +37,44 @@ func TestJobLeavesNoGoroutines(t *testing.T) {
 				if kill && rep.FailuresInjected == 0 {
 					t.Fatalf("%s: the fault never fired", name)
 				}
-				n := runtime.NumGoroutine()
-				for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
-					time.Sleep(5 * time.Millisecond)
-				}
-				if n > base {
-					buf := make([]byte, 1<<20)
-					dump := string(buf[:runtime.Stack(buf, true)])
-					t.Fatalf("%s: %d goroutines after the job, %d before it; still running:\n%s",
-						name, n, base, leakedStacks(dump))
-				}
+				checkGoroutines(t, name, base)
 			}
 		}
+	}
+	// Elastic jobs: a grow or shrink fence rebuilds every rank's
+	// generation under the new view, and each rebuilt generation's
+	// failure watcher must end with the job too.
+	for _, mode := range []string{"local", "replica"} {
+		for _, dir := range []struct {
+			name          string
+			ranks, target int
+		}{{"grow", 4, 6}, {"shrink", 6, 4}} {
+			name := fmt.Sprintf("chan/%s/%s", mode, dir.name)
+			var results, sizes sync.Map
+			cfg := elasticCfg(dir.ranks, 4, 2)
+			cfg.Recovery = mode
+			if _, err := Run(cfg, elasticApp(iters, 3, dir.target, &results, &sizes)); err != nil {
+				t.Fatalf("%s: Run: %v", name, err)
+			}
+			checkElastic(t, dir.target, iters, &results, &sizes)
+			checkGoroutines(t, name, base)
+		}
+	}
+}
+
+// checkGoroutines waits up to a second for the goroutine count to fall
+// back to base and fails with the stacks of whatever is still running.
+func checkGoroutines(t *testing.T, name string, base int) {
+	t.Helper()
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n > base {
+		buf := make([]byte, 1<<20)
+		dump := string(buf[:runtime.Stack(buf, true)])
+		t.Fatalf("%s: %d goroutines after the job, %d before it; still running:\n%s",
+			name, n, base, leakedStacks(dump))
 	}
 }
 

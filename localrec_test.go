@@ -55,6 +55,19 @@ func trackedApp(iters int, results *sync.Map, tr *execTracker) App {
 	}
 }
 
+// checkNoHeld fails the test if any matcher of the job still held a
+// frame above a sequence gap when its generation was torn down: under
+// the one ordered admission rule a held frame is a message whose
+// predecessor was never regenerated — lost by the recovery.
+func checkNoHeld(t *testing.T, rep *Report) {
+	t.Helper()
+	for r, c := range rep.Stats.Matcher {
+		if c.Held != 0 {
+			t.Errorf("rank %d: %d frame(s) still held above a sequence gap at teardown (per source: %+v)", r, c.Held, c.PerSource)
+		}
+	}
+}
+
 func TestLocalRecoveryNoSurvivorRollback(t *testing.T) {
 	const (
 		ranks  = 4
@@ -74,6 +87,7 @@ func TestLocalRecoveryNoSurvivorRollback(t *testing.T) {
 	if rep.Recoveries == 0 {
 		t.Fatal("no recovery epoch recorded")
 	}
+	checkNoHeld(t, rep)
 
 	// Output must be byte-identical to the failure-free answer.
 	want := expectedIterSum(ranks, iters)
@@ -146,6 +160,7 @@ func TestLocalRecoveryFailureFreeMatchesGlobal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	checkNoHeld(t, rep)
 	want := expectedIterSum(ranks, iters)
 	results.Range(func(k, v any) bool {
 		if v.(int64) != want {
@@ -204,6 +219,7 @@ func TestLocalRecoveryTCPTransport(t *testing.T) {
 	if rep.Recoveries == 0 {
 		t.Fatal("no recovery epoch recorded")
 	}
+	checkNoHeld(t, rep)
 	want := expectedIterSum(ranks, iters)
 	count := 0
 	results.Range(func(k, v any) bool {
@@ -268,6 +284,7 @@ func TestLocalRecoveryPoissonSoak(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v (injected %d)", seed, err, rep.FailuresInjected)
 		}
+		checkNoHeld(t, rep)
 		want := expectedIterSum(8, 20)
 		count := 0
 		results.Range(func(k, v any) bool {

@@ -154,6 +154,9 @@ func TestResizeKillMatrix(t *testing.T) {
 					if rep.FailuresInjected == 0 {
 						t.Fatal("the fault never fired")
 					}
+					if recovery == "local" {
+						checkNoHeld(t, rep)
+					}
 					checkElastic(t, dir.target, iters, &results, &sizes)
 				})
 			}
