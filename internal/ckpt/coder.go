@@ -17,7 +17,7 @@ const (
 
 // Coder is a pluggable group redundancy scheme. Both implementations
 // are collective: every member of a group calls Encode (and, during
-// recovery, Reconstruct) with the same agreed chunkLen, and the calls
+// recovery, Rebuild) with the same agreed chunkLen, and the calls
 // communicate over the GroupComm.
 type Coder interface {
 	// Scheme identifies the encoding.
@@ -32,13 +32,27 @@ type Coder interface {
 	// its (conceptually chunkLen-padded) checkpoint bytes and returns
 	// the parity this member stores.
 	Encode(gc GroupComm, self, g int, data []byte, chunkLen int) ([]byte, error)
-	// Reconstruct rebuilds the checkpoints of the lost members (sorted
-	// group-local indices). Survivors contribute their data and stored
-	// parity and return nil; each lost member passes nil data/parity
-	// and returns its rebuilt padded checkpoint (the caller trims it
-	// to the original size). Parity is NOT restored here — the caller
-	// re-runs Encode group-wide afterwards.
+	// Rebuild repairs the lost members (sorted group-local indices) and
+	// restores the group's full redundancy in one collective pass.
+	// Survivors contribute their data and stored parity and return
+	// nil, nil: neither changes, so both stay valid. Each lost member
+	// passes nil data/parity and returns its rebuilt padded checkpoint
+	// (the caller trims it to the original size) and the parity it now
+	// stores, byte-identical to what Encode would give it. With a
+	// Releaser both are buffers the caller may hand back.
+	Rebuild(gc GroupComm, self, g int, lost []int, data, parity []byte, chunkLen int) (rebuilt, rebuiltParity []byte, err error)
+	// Reconstruct is Rebuild keeping only the rebuilt checkpoint: the
+	// parity goes back to gc's arena. Its last caller is the
+	// benchmark's ring decode (bench/micro.go); delete it once that
+	// calls Rebuild.
 	Reconstruct(gc GroupComm, self, g int, lost []int, data, parity []byte, chunkLen int) ([]byte, error)
+}
+
+// reconstruct implements Coder.Reconstruct over c.Rebuild.
+func reconstruct(c Coder, gc GroupComm, self, g int, lost []int, data, parity []byte, chunkLen int) ([]byte, error) {
+	out, par, err := c.Rebuild(gc, self, g, lost, data, parity, chunkLen)
+	release(gc, par)
+	return out, err
 }
 
 // NewCoder returns the coder for a configured redundancy level m:
@@ -75,53 +89,82 @@ func (XORRing) Encode(gc GroupComm, self, g int, data []byte, chunkLen int) ([]b
 	return EncodeRing(gc, self, g, data, chunkLen)
 }
 
-// Reconstruct implements Coder: survivors run the decode ring and send
-// their resulting chunk of the lost checkpoint to the replacement,
-// which relays the ring (contributing nothing) and gathers the chunks
-// (paper Fig 11: decode + gather). The replacement's relay chain and
-// gather buffer come from gc's arena when it has one (Forwarder), so
-// the returned checkpoint is an arena buffer the caller may recycle.
-func (XORRing) Reconstruct(gc GroupComm, self, g int, lost []int, data, parity []byte, chunkLen int) ([]byte, error) {
+// Rebuild implements Coder in one ring pass (paper Fig 11: decode +
+// gather). The survivors run the decode ring from their stored parity
+// and end it one hop early: at step G-1 member i holds chain i+1,
+// complete once it folds its chunk in, and sends it straight to the
+// replacement rather than home. The replacement relays the ring from a
+// zero chain, contributing nothing, keeps the chain its last relay
+// step receives (lost+1, the last chunk of its checkpoint) and gathers
+// one chain from each survivor: chain i+1 from member i is chunk
+// (lost-i-1) mod G. Member lost-1 sends it two, in ring order: chain
+// lost+1 at step G-2, then chain lost, the replacement's own zero chain
+// after it absorbed every chunk that chain covers — its parity.
+// Survivors' data and chains did not change, so nothing is re-encoded.
+// The replacement's zero chain and gather buffer come from gc's arena
+// when it has one (Forwarder), so the rebuilt checkpoint is an arena
+// buffer the caller may recycle; its parity is a received frame.
+func (XORRing) Rebuild(gc GroupComm, self, g int, lost []int, data, parity []byte, chunkLen int) ([]byte, []byte, error) {
 	if len(lost) != 1 {
-		return nil, fmt.Errorf("ckpt: xor ring repairs exactly one loss, got %d", len(lost))
+		return nil, nil, fmt.Errorf("ckpt: xor ring repairs exactly one loss, got %d", len(lost))
 	}
 	lostIdx := lost[0]
-	rel, _ := gc.(Releaser)
+	right, left := (self+1)%g, (self-1+g)%g
 	if self != lostIdx {
-		res, err := DecodeRing(gc, self, g, data, chunkLen, parity, true)
-		if err != nil {
-			return nil, err
+		if err := gc.Send(right, chunk(parity, chunkLen, 1)); err != nil {
+			return nil, nil, err
 		}
-		return nil, forward(gc, lostIdx, res)
+		if err := ringSteps(gc, self, g, data, chunkLen, 1, g-2); err != nil {
+			return nil, nil, err
+		}
+		held, err := gc.Recv(left)
+		if err != nil {
+			return nil, nil, err
+		}
+		xorChunkInto(held, data, chunkLen, g-1)
+		decoded(gc)
+		return nil, nil, forward(gc, lostIdx, held)
 	}
 	zero := scratch(gc, chunkLen)
 	clear(zero)
-	relay, err := DecodeRing(gc, self, g, nil, chunkLen, zero, false)
-	if rel != nil {
-		rel.Release(zero) // sent (copied) on the relay's first hop
+	if err := forward(gc, right, zero); err != nil {
+		return nil, nil, err
 	}
+	if err := ringSteps(gc, self, g, nil, chunkLen, 1, g-2); err != nil {
+		return nil, nil, err
+	}
+	last, err := gc.Recv(left)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if rel != nil {
-		rel.Release(relay) // the replacement's ring result is discarded
-	}
-	// Every byte is overwritten: the survivors' chunk indices cover
-	// 1..G-1 exactly once.
+	decoded(gc)
+	// Every byte is overwritten: chain lost+1 and the survivors' chains
+	// cover chunks 1..G-1 exactly once.
 	out := scratch(gc, (g-1)*chunkLen)
+	copy(out[(g-2)*chunkLen:], last)
+	release(gc, last)
+	var par []byte
 	for i := 0; i < g; i++ {
-		if i == lostIdx {
+		if i == self {
 			continue
 		}
 		c, err := gc.Recv(i)
 		if err != nil {
-			return abandon(gc, out, err)
+			release(gc, out, par)
+			return nil, nil, err
 		}
-		k := DecodeChunkIndex(lostIdx, i, g)
+		k := mod(self-i-1, g)
+		if k == 0 {
+			par = c // chain lost, from member lost-1
+			continue
+		}
 		copy(out[(k-1)*chunkLen:], c)
-		if rel != nil {
-			rel.Release(c) // chunk copied into place
-		}
+		release(gc, c) // chunk copied into place
 	}
-	return out, nil
+	return out, par, nil
+}
+
+// Reconstruct implements Coder.
+func (c XORRing) Reconstruct(gc GroupComm, self, g int, lost []int, data, parity []byte, chunkLen int) ([]byte, error) {
+	return reconstruct(c, gc, self, g, lost, data, parity, chunkLen)
 }

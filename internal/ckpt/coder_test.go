@@ -131,21 +131,28 @@ func TestRSEncodeMatchesLocalReference(t *testing.T) {
 	}
 }
 
-// runReconstruct drives a full group Reconstruct over channels: the
-// survivors pass their data+parity, the lost members pass nil, and the
-// lost members' outputs are returned (indexed by group-local rank).
-func runReconstruct(t *testing.T, coder Coder, g int, lost []int, data, parity [][]byte, chunkLen int) [][]byte {
+// runRebuild drives a full group Rebuild over channels: the survivors
+// pass their data+parity, the lost members pass nil, and the lost
+// members' rebuilt checkpoints and parities are returned (indexed by
+// group-local rank).
+func runRebuild(t *testing.T, coder Coder, g int, lost []int, data, parity [][]byte, chunkLen int) (out, par [][]byte) {
 	t.Helper()
 	lostSet := map[int]bool{}
 	for _, li := range lost {
 		lostSet[li] = true
 	}
-	return runRing(t, g, func(i int, gc GroupComm) ([]byte, error) {
+	par = make([][]byte, g)
+	out = runRing(t, g, func(i int, gc GroupComm) ([]byte, error) {
+		var d []byte
+		var err error
 		if lostSet[i] {
-			return coder.Reconstruct(gc, i, g, lost, nil, nil, chunkLen)
+			d, par[i], err = coder.Rebuild(gc, i, g, lost, nil, nil, chunkLen)
+		} else {
+			d, par[i], err = coder.Rebuild(gc, i, g, lost, data[i], parity[i], chunkLen)
 		}
-		return coder.Reconstruct(gc, i, g, lost, data[i], parity[i], chunkLen)
+		return d, err
 	})
+	return out, par
 }
 
 func TestCoderReconstructRoundTrip(t *testing.T) {
@@ -179,10 +186,13 @@ func TestCoderReconstructRoundTrip(t *testing.T) {
 				lost = append(lost, li)
 			}
 			sort.Ints(lost)
-			out := runReconstruct(t, coder, tc.g, lost, data, parity, chunkLen)
+			out, par := runRebuild(t, coder, tc.g, lost, data, parity, chunkLen)
 			for _, li := range lost {
 				if !bytes.Equal(out[li][:len(data[li])], data[li]) {
 					t.Fatalf("g=%d m=%d lost=%v: rank %d rebuilt wrong", tc.g, tc.m, lost, li)
+				}
+				if !bytes.Equal(par[li], parity[li]) {
+					t.Fatalf("g=%d m=%d lost=%v: rank %d parity rebuilt wrong", tc.g, tc.m, lost, li)
 				}
 			}
 		}
@@ -206,7 +216,7 @@ func TestCoderEmptyCheckpoints(t *testing.T) {
 		parity := runRing(t, g, func(i int, gc GroupComm) ([]byte, error) {
 			return coder.Encode(gc, i, g, data[i], chunkLen)
 		})
-		out := runReconstruct(t, coder, g, []int{2}, data, parity, chunkLen)
+		out, _ := runRebuild(t, coder, g, []int{2}, data, parity, chunkLen)
 		if len(out[2]) == 0 {
 			t.Fatalf("m=%d: no padded output", m)
 		}

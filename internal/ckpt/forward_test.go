@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -14,20 +15,47 @@ import (
 
 // netGroup is a GroupComm over the endpoints of one in-process network
 // whose frames come from a debug arena: Send copies (eager), Recv hands
-// the coder the received frame, Release returns it.
+// the coder the received frame, Release returns it. It counts the
+// member's calls, and with failAt > 0 its failAt-th Send, Forward or
+// Recv fails: it closes the group's shared cancel channel, as an epoch
+// bump does, so every other member's pending or next Recv fails too.
 type netGroup struct {
 	eps    []transport.Endpoint
 	ms     []*transport.Matcher
 	self   int
 	pool   *bufpool.Arena
 	cancel <-chan struct{}
+
+	ops    int // Send, Forward and Recv calls
+	sent   int // frames sent: Send and Forward calls
+	failAt int
+	abort  func()
+}
+
+var errInjected = errors.New("injected fault")
+
+// step counts one call and fails it if it is the failAt-th.
+func (g *netGroup) step() error {
+	g.ops++
+	if g.ops == g.failAt {
+		g.abort()
+		return errInjected
+	}
+	return nil
 }
 
 func (g *netGroup) Send(peer int, data []byte) error {
+	if err := g.step(); err != nil {
+		return err
+	}
+	g.sent++
 	return g.eps[g.self].Send(g.eps[peer].Addr(), transport.Msg{Src: int32(g.self), Tag: 1, Data: data})
 }
 
 func (g *netGroup) Recv(peer int) ([]byte, error) {
+	if err := g.step(); err != nil {
+		return nil, err
+	}
 	msg, err := g.ms[g.self].Recv(0, int32(peer), 1, g.cancel)
 	if err != nil {
 		return nil, err
@@ -44,6 +72,11 @@ type forwardingGroup struct{ *netGroup }
 func (g forwardingGroup) Get(n int) []byte { return g.pool.Get(n) }
 
 func (g forwardingGroup) Forward(peer int, buf []byte) error {
+	if err := g.step(); err != nil {
+		g.pool.Put(buf) // Forward gives buf up either way
+		return err
+	}
+	g.sent++
 	m := transport.Msg{Src: int32(g.self), Tag: 1, Data: buf}
 	m.Handoff(g.pool)
 	return g.eps[g.self].Send(g.eps[peer].Addr(), m)
@@ -52,12 +85,32 @@ func (g forwardingGroup) Forward(peer int, buf []byte) error {
 var _ Forwarder = forwardingGroup{}
 
 // runNet runs fn for every member of a g-member group over a fresh
-// chan network on pool, each member in its own goroutine.
+// chan network on pool, each member in its own goroutine, and fails
+// the test if any member returns an error.
 func runNet(t *testing.T, pool *bufpool.Arena, g int, forwarding bool, fn func(i int, gc GroupComm) ([]byte, error)) [][]byte {
+	t.Helper()
+	out, errs, _ := netRun(t, pool, g, forwarding, nil, fn)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("member %d: %v", i, err)
+		}
+	}
+	return out
+}
+
+// netRun runs fn for every member like runNet and returns each
+// member's result, error and netGroup (for its counters); failAt[i] >
+// 0 arms member i's fault. The network is closed before it returns, so
+// the arena then holds exactly what the members returned or were
+// given. A member still running 5 s after the group's cancel closed (a
+// fault, or 10 s without one) fails the test.
+func netRun(t *testing.T, pool *bufpool.Arena, g int, forwarding bool, failAt []int, fn func(i int, gc GroupComm) ([]byte, error)) ([][]byte, []error, []*netGroup) {
 	t.Helper()
 	nw := transport.NewChanNetwork(transport.Options{Pool: pool})
 	cancel := make(chan struct{})
-	defer time.AfterFunc(10*time.Second, func() { close(cancel) }).Stop()
+	var once sync.Once
+	abort := func() { once.Do(func() { close(cancel) }) }
+	defer time.AfterFunc(10*time.Second, abort).Stop()
 	eps := make([]transport.Endpoint, g)
 	ms := make([]*transport.Matcher, g)
 	for i := range eps {
@@ -75,25 +128,36 @@ func runNet(t *testing.T, pool *bufpool.Arena, g int, forwarding bool, fn func(i
 	}()
 	out := make([][]byte, g)
 	errs := make([]error, g)
+	ngs := make([]*netGroup, g)
 	var wg sync.WaitGroup
 	for i := 0; i < g; i++ {
+		ng := &netGroup{eps: eps, ms: ms, self: i, pool: pool, cancel: cancel, abort: abort}
+		if failAt != nil {
+			ng.failAt = failAt[i]
+		}
+		ngs[i] = ng
+		var gc GroupComm = ng
+		if forwarding {
+			gc = forwardingGroup{ng}
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var gc GroupComm = &netGroup{eps: eps, ms: ms, self: i, pool: pool, cancel: cancel}
-			if forwarding {
-				gc = forwardingGroup{gc.(*netGroup)}
-			}
 			out[i], errs[i] = fn(i, gc)
 		}(i)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("member %d: %v", i, err)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-cancel:
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("members still running 5 s after the group was cancelled")
 		}
 	}
-	return out
+	return out, errs, ngs
 }
 
 // raggedData draws g checkpoints of unequal sizes, some empty and some
@@ -118,9 +182,10 @@ func raggedData(rng *rand.Rand, g int) [][]byte {
 
 // TestRingOverPooledTransport is the property behind the copy-free
 // ring: over a real transport on a debug arena, with and without the
-// Forwarder capability, the distributed encode, decode and rebuild
-// produce exactly the reference coder's bytes (EncodeLocal,
-// ReconstructLocal) for g = 2..6 and ragged member sizes, and the arena
+// Forwarder capability, the distributed encode and rebuild (and
+// Reconstruct, which drops the rebuilt parity) produce exactly the
+// reference coder's bytes (EncodeLocal, ReconstructLocal) for g = 2..6
+// and ragged member sizes, and the arena
 // afterwards holds exactly the buffers the calls returned — a frame
 // leaked, double-released or freed under a later hop fails here. With
 // the capability every chain after a member's first hop is forwarded
@@ -167,30 +232,38 @@ func checkRingOverPool(t *testing.T, data [][]byte, forwarding bool) {
 	for lost := 0; lost < g; lost++ {
 		full := ReconstructLocal(data, want, chunkLen, lost, (g-1)*chunkLen)
 
-		// DecodeRing: survivor i ends with its chunk of the lost
-		// checkpoint; the relaying lost member, which started from
-		// zeros, ends with its own parity chain re-derived.
-		chains := runNet(t, pool, g, forwarding, func(i int, gc GroupComm) ([]byte, error) {
+		// Rebuild: the replacement ends with the lost checkpoint and its
+		// parity chain; survivors return nothing and keep theirs.
+		type result struct{ data, parity []byte }
+		res := make([]result, g)
+		runNet(t, pool, g, forwarding, func(i int, gc GroupComm) ([]byte, error) {
+			var err error
 			if i == lost {
-				return DecodeRing(gc, i, g, nil, chunkLen, make([]byte, chunkLen), false)
+				res[i].data, res[i].parity, err = XORRing{}.Rebuild(gc, i, g, []int{lost}, nil, nil, chunkLen)
+			} else {
+				res[i].data, res[i].parity, err = XORRing{}.Rebuild(gc, i, g, []int{lost}, data[i], parity[i], chunkLen)
 			}
-			return DecodeRing(gc, i, g, data[i], chunkLen, parity[i], true)
+			return nil, err
 		})
-		for i, c := range chains {
-			wantChain := want[lost]
-			if k := DecodeChunkIndex(lost, i, g); i != lost {
-				wantChain = full[(k-1)*chunkLen : k*chunkLen]
+		for i, r := range res {
+			if i != lost && (r.data != nil || r.parity != nil) {
+				t.Fatalf("lost=%d: survivor %d returned buffers", lost, i)
 			}
-			if !bytes.Equal(c, wantChain) {
-				t.Fatalf("lost=%d: member %d decoded the wrong chain", lost, i)
-			}
-			pool.Put(c)
 		}
-		if got := pool.Outstanding(); got != g {
-			t.Fatalf("lost=%d: after decode the arena holds %d buffers, want the %d parities", lost, got, g)
+		if !bytes.Equal(res[lost].data, full) || !bytes.Equal(res[lost].parity, want[lost]) {
+			t.Fatalf("lost=%d: Rebuild differs from ReconstructLocal/EncodeLocal", lost)
 		}
+		held := g + 1 // the parities and the rebuilt parity frame
+		if forwarding {
+			held++ // the rebuilt checkpoint is the arena's too
+		}
+		if got := pool.Outstanding(); got != held {
+			t.Fatalf("lost=%d: after Rebuild the arena holds %d buffers, want %d", lost, got, held)
+		}
+		pool.Put(res[lost].data)
+		pool.Put(res[lost].parity)
 
-		// Reconstruct: decode plus gather to the replacement.
+		// Reconstruct: Rebuild handing the parity back.
 		rebuilt := runNet(t, pool, g, forwarding, func(i int, gc GroupComm) ([]byte, error) {
 			if i == lost {
 				return XORRing{}.Reconstruct(gc, i, g, []int{lost}, nil, nil, chunkLen)
@@ -200,12 +273,12 @@ func checkRingOverPool(t *testing.T, data [][]byte, forwarding bool) {
 		if !bytes.Equal(rebuilt[lost], full) {
 			t.Fatalf("lost=%d: Reconstruct differs from ReconstructLocal", lost)
 		}
-		held := g // the parities, plus the rebuilt checkpoint if it is the arena's
+		held = g // the parities, plus the rebuilt checkpoint if it is the arena's
 		if forwarding {
 			held++
 		}
 		if got := pool.Outstanding(); got != held {
-			t.Fatalf("lost=%d: after rebuild the arena holds %d buffers, want %d", lost, got, held)
+			t.Fatalf("lost=%d: after Reconstruct the arena holds %d buffers, want %d", lost, got, held)
 		}
 		pool.Put(rebuilt[lost])
 	}

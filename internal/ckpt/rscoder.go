@@ -126,6 +126,43 @@ func paddedChunk(data []byte, chunkLen, k int, pad *[]byte) []byte {
 // deadlock-free on the asynchronous FMI transports; per peer pair both
 // sides traverse stripes in the same (provably monotone) order, so
 // FIFO matching suffices.
+func (c *RSGroup) Encode(gc GroupComm, self, g int, data []byte, chunkLen int) ([]byte, error) {
+	if g < 2 {
+		return nil, fmt.Errorf("ckpt: rs encode needs a group of >= 2")
+	}
+	code, err := c.code(g)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.pushChunks(gc, self, g, data, chunkLen, nil); err != nil {
+		return nil, err
+	}
+	return c.foldParity(gc, code, self, g, chunkLen)
+}
+
+// pushChunks sends each of member self's chunks to the holders of its
+// stripe, or only to those in the set when it is non-nil.
+func (c *RSGroup) pushChunks(gc GroupComm, self, g int, data []byte, chunkLen int, only map[int]bool) error {
+	m, k := c.eff(g)
+	var pad []byte
+	for l := 0; l < k; l++ {
+		s := mod(self-m-l, g)
+		my := paddedChunk(data, chunkLen, l+1, &pad)
+		for j := 0; j < m; j++ {
+			h := (s + j) % g
+			if only != nil && !only[h] {
+				continue
+			}
+			if err := gc.Send(h, my); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// foldParity receives the k contributor chunks of each stripe member
+// self holds and returns its m parity shards.
 //
 // The parity computation is pipelined: GF(2^8) addition is XOR, so
 // shard contributions commute and each arriving chunk folds into its
@@ -133,26 +170,8 @@ func paddedChunk(data []byte, chunkLen, k int, pad *[]byte) []byte {
 // overlaps with waiting on the group exchange instead of running
 // serially after it, and no k-chunk staging buffer exists. With a
 // pooled GroupComm every folded chunk is recycled on the spot.
-func (c *RSGroup) Encode(gc GroupComm, self, g int, data []byte, chunkLen int) ([]byte, error) {
-	if g < 2 {
-		return nil, fmt.Errorf("ckpt: rs encode needs a group of >= 2")
-	}
+func (c *RSGroup) foldParity(gc GroupComm, code *erasure.Code, self, g, chunkLen int) ([]byte, error) {
 	m, k := c.eff(g)
-	code, err := c.code(g)
-	if err != nil {
-		return nil, err
-	}
-	rel, _ := gc.(Releaser)
-	var pad []byte
-	for l := 0; l < k; l++ {
-		s := mod(self-m-l, g)
-		my := paddedChunk(data, chunkLen, l+1, &pad)
-		for j := 0; j < m; j++ {
-			if err := gc.Send((s+j)%g, my); err != nil {
-				return nil, err
-			}
-		}
-	}
 	parity := scratch(gc, m*chunkLen)
 	clear(parity) // the fold accumulator
 	for j := 0; j < m; j++ {
@@ -161,18 +180,15 @@ func (c *RSGroup) Encode(gc GroupComm, self, g int, data []byte, chunkLen int) (
 		for l := 0; l < k; l++ {
 			b, err := gc.Recv((s + m + l) % g)
 			if err != nil {
-				return abandon(gc, parity, err)
+				release(gc, parity)
+				return nil, err
 			}
 			if len(b) != chunkLen {
-				if rel != nil {
-					rel.Release(b)
-				}
-				return abandon(gc, parity, fmt.Errorf("ckpt: rs encode: %d-byte shard, want %d", len(b), chunkLen))
+				release(gc, b, parity)
+				return nil, fmt.Errorf("ckpt: rs encode: %d-byte shard, want %d", len(b), chunkLen)
 			}
 			code.MulAddRowInto(j, l, b, row, c.workers)
-			if rel != nil {
-				rel.Release(b) // folded; the chunk bytes are dead
-			}
+			release(gc, b) // folded; the chunk bytes are dead
 		}
 	}
 	return parity, nil
@@ -201,31 +217,32 @@ func selectShards(s, g, m, k int, lost map[int]bool) []int {
 	return sel
 }
 
-// Reconstruct implements Coder. Each lost member's chunk l lives in
-// stripe s = lost-m-l (mod G); for every such stripe the survivors
-// among the selected k shard owners push their shard to the lost
-// member, which inverts the corresponding k x k generator submatrix
-// to recover its chunk.
-func (c *RSGroup) Reconstruct(gc GroupComm, self, g int, lost []int, data, parity []byte, chunkLen int) ([]byte, error) {
+// Rebuild implements Coder in two rounds. Decode: each lost member's
+// chunk l lives in stripe s = lost-m-l (mod G); for every such stripe
+// the survivors among the selected k shard owners push their shard to
+// the lost member, which inverts the corresponding k x k generator
+// submatrix to recover its chunk. Parity: only the lost members' parity
+// is gone — every survivor's stripes have the same contributors with
+// the same data — so each contributor to a stripe a lost member holds
+// (survivor or, once rebuilt, another lost member) pushes its chunk to
+// that holder, which folds its parity as Encode does. That is m*k
+// chunks per lost member instead of a group-wide re-encode, and
+// survivors' parity stays byte for byte what they stored.
+func (c *RSGroup) Rebuild(gc GroupComm, self, g int, lost []int, data, parity []byte, chunkLen int) ([]byte, []byte, error) {
 	m, k := c.eff(g)
 	if len(lost) == 0 || len(lost) > m {
-		return nil, fmt.Errorf("ckpt: rs group of %d repairs 1..%d losses, got %d", g, m, len(lost))
+		return nil, nil, fmt.Errorf("ckpt: rs group of %d repairs 1..%d losses, got %d", g, m, len(lost))
 	}
 	code, err := c.code(g)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	lostSet := make(map[int]bool, len(lost))
-	amLost := false
 	for _, li := range lost {
 		lostSet[li] = true
-		if li == self {
-			amLost = true
-		}
 	}
 
-	rel, _ := gc.(Releaser)
-	if !amLost {
+	if !lostSet[self] {
 		// Survivor: push my shard of every damaged stripe that selected it.
 		var pad []byte
 		for _, li := range lost {
@@ -243,17 +260,19 @@ func (c *RSGroup) Reconstruct(gc GroupComm, self, g int, lost []int, data, parit
 						sh = parity[j*chunkLen : (j+1)*chunkLen]
 					}
 					if err := gc.Send(li, sh); err != nil {
-						return nil, err
+						return nil, nil, err
 					}
 				}
 			}
 		}
-		return nil, nil
+		decoded(gc)
+		return nil, nil, c.pushChunks(gc, self, g, data, chunkLen, lostSet)
 	}
 
 	// Replacement: gather the selected shards of each of my stripes and
 	// solve for my chunk — recovered directly into its slot of the
 	// rebuilt checkpoint (RecoverInto), no per-stripe scratch + copy.
+	rel, _ := gc.(Releaser)
 	out := scratch(gc, k*chunkLen) // every stripe's chunk is recovered into it
 	shards := make([][]byte, k)
 	wantOne := make([]int, 1)
@@ -262,18 +281,20 @@ func (c *RSGroup) Reconstruct(gc GroupComm, self, g int, lost []int, data, parit
 		s := mod(self-m-l, g)
 		sel := selectShards(s, g, m, k, lostSet)
 		if len(sel) < k {
-			return abandon(gc, out, fmt.Errorf("ckpt: stripe %d has only %d surviving shards, need %d", s, len(sel), k))
+			release(gc, out)
+			return nil, nil, fmt.Errorf("ckpt: stripe %d has only %d surviving shards, need %d", s, len(sel), k)
 		}
 		for i, idx := range sel {
 			b, err := gc.Recv(shardOwner(s, idx, g, m, k))
 			if err != nil {
-				return abandon(gc, out, err)
+				release(gc, shards[:i]...)
+				release(gc, out)
+				return nil, nil, err
 			}
 			if len(b) != chunkLen {
-				if rel != nil {
-					rel.Release(b)
-				}
-				return abandon(gc, out, fmt.Errorf("ckpt: rs reconstruct: %d-byte shard, want %d", len(b), chunkLen))
+				release(gc, shards[:i]...)
+				release(gc, b, out)
+				return nil, nil, fmt.Errorf("ckpt: rs reconstruct: %d-byte shard, want %d", len(b), chunkLen)
 			}
 			shards[i] = b
 		}
@@ -286,8 +307,26 @@ func (c *RSGroup) Reconstruct(gc GroupComm, self, g int, lost []int, data, parit
 			}
 		}
 		if err != nil {
-			return abandon(gc, out, err)
+			release(gc, out)
+			return nil, nil, err
 		}
 	}
-	return out, nil
+	decoded(gc)
+	// My rebuilt chunks feed the stripes the other lost members hold;
+	// all sends precede the receives, as in Encode.
+	if err := c.pushChunks(gc, self, g, out, chunkLen, lostSet); err != nil {
+		release(gc, out)
+		return nil, nil, err
+	}
+	par, err := c.foldParity(gc, code, self, g, chunkLen)
+	if err != nil {
+		release(gc, out)
+		return nil, nil, err
+	}
+	return out, par, nil
+}
+
+// Reconstruct implements Coder.
+func (c *RSGroup) Reconstruct(gc GroupComm, self, g int, lost []int, data, parity []byte, chunkLen int) ([]byte, error) {
+	return reconstruct(c, gc, self, g, lost, data, parity, chunkLen)
 }

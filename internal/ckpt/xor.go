@@ -14,6 +14,15 @@
 // (rank, chunk) pair is covered by exactly one chain — so the loss of
 // any single rank in the group (its data and its stored chain) is
 // recoverable from the survivors.
+//
+// Decoding walks the same ring once. Every survivor starts from its
+// stored chain and XORs its chunks back out; the replacement relays a
+// zero chain. Chain s then ends holding chunk (lost-s) mod G of the
+// lost checkpoint, and the replacement's own chain, having absorbed
+// exactly the chunks it covers, ends as its parity. No chain needs the
+// final rotation home: the member holding it at step G-1 sends it
+// straight to the replacement (XORRing.Rebuild), so one pass both
+// rebuilds the lost checkpoint and restores the group's redundancy.
 package ckpt
 
 import "encoding/binary"
@@ -219,13 +228,35 @@ func scratch(gc GroupComm, n int) []byte {
 	return make([]byte, n)
 }
 
-// abandon returns err after handing buf, a scratch buffer the failed
-// call will not return, back to gc's arena (if it has one).
-func abandon(gc GroupComm, buf []byte, err error) ([]byte, error) {
-	if rel, ok := gc.(Releaser); ok {
-		rel.Release(buf)
+// release hands bufs, buffers the caller will not return or touch
+// again, back to gc's arena (if it has one). Nil entries are skipped.
+func release(gc GroupComm, bufs ...[]byte) {
+	rel, ok := gc.(Releaser)
+	if !ok {
+		return
 	}
-	return nil, err
+	for _, b := range bufs {
+		if b != nil {
+			rel.Release(b)
+		}
+	}
+}
+
+// PhaseTimer is optionally implemented by GroupComms that time a
+// rebuild's two phases. Rebuild calls DecodeDone once on every member,
+// when its decode ends and its gather begins: a replacement then
+// collects what it still needs (the survivors' XOR chains, or the
+// chunks of the RS stripes whose parity it holds), and a survivor sends
+// its part of that.
+type PhaseTimer interface {
+	DecodeDone()
+}
+
+// decoded marks the end of a rebuild's decode phase on gc.
+func decoded(gc GroupComm) {
+	if pt, ok := gc.(PhaseTimer); ok {
+		pt.DecodeDone()
+	}
 }
 
 // EncodeRing runs the Fig 9 ring algorithm for one group member. It
@@ -241,58 +272,39 @@ func abandon(gc GroupComm, buf []byte, err error) ([]byte, error) {
 // Every member must use the same variant (all callers run EncodeRing
 // group-wide, so they do).
 func EncodeRing(gc GroupComm, self, g int, data []byte, chunkLen int) ([]byte, error) {
+	first, from := chunk(data, chunkLen, 1), 2
 	if g < 2 {
-		return ringWalk(gc, self, g, nil, chunkLen, make([]byte, chunkLen), 1)
+		first, from = make([]byte, chunkLen), 1 // a lone member's chain is zeros
 	}
-	return ringWalk(gc, self, g, data, chunkLen, chunk(data, chunkLen, 1), 2)
+	if err := gc.Send((self+1)%g, first); err != nil {
+		return nil, err
+	}
+	if err := ringSteps(gc, self, g, data, chunkLen, from, g-1); err != nil {
+		return nil, err
+	}
+	return gc.Recv((self - 1 + g) % g) // the final rotation: chain self, home
 }
 
-// DecodeRing runs the same ring over the survivors: each member starts
-// from its stored parity chain and XORs its chunks back out; the lost
-// rank's chunks remain. Member i ends holding chunk ((lost-i) mod G)
-// of the lost checkpoint (the lost rank itself, passed hasData=false
-// and a zero chain, ends holding its own parity chain: the zeros
-// absorbed exactly the chunks that chain covers). The caller then
-// gathers the chunks to the restarted rank. storedParity is only read:
-// the first hop is sent from it directly.
-func DecodeRing(gc GroupComm, self, g int, data []byte, chunkLen int, storedParity []byte, hasData bool) ([]byte, error) {
-	if !hasData {
-		data = nil
-	}
-	return ringWalk(gc, self, g, data, chunkLen, chunk(storedParity, chunkLen, 1), 1)
-}
-
-// ringWalk performs the shared ring walk. It sends first (a buffer the
-// caller keeps) right, then, for each step k from..G-1, receives a
-// chain from the left, folds chunk k of data into it (nil data folds
-// nothing) and forwards it right; the final receive is a pure rotation
-// returning chain 'self' home, and that chain is this member's.
+// ringSteps runs steps from..to of the ring walk after the member's
+// first hop: each receives a chain from the left, folds chunk k of data
+// into it (nil data folds nothing) and forwards it right.
 //
 // Every chain after the first hop is a buffer the walk owns, so with a
 // Forwarder each one travels on uncopied, and with a pooled GroupComm
 // the walk allocates nothing. Contributions fold in via xorChunkInto,
 // so no padded chunk is materialised beyond a short first hop.
-func ringWalk(gc GroupComm, self, g int, data []byte, chunkLen int, first []byte, from int) ([]byte, error) {
+func ringSteps(gc GroupComm, self, g int, data []byte, chunkLen, from, to int) error {
 	right := (self + 1) % g
 	left := (self - 1 + g) % g
-	if err := gc.Send(right, first); err != nil {
-		return nil, err
-	}
-	for k := from; k < g; k++ {
+	for k := from; k <= to; k++ {
 		held, err := gc.Recv(left)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		xorChunkInto(held, data, chunkLen, k)
 		if err := forward(gc, right, held); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return gc.Recv(left)
-}
-
-// DecodeChunkIndex returns which chunk of the lost checkpoint member i
-// holds after DecodeRing.
-func DecodeChunkIndex(lost, i, g int) int {
-	return ((lost-i)%g + g) % g
+	return nil
 }

@@ -222,7 +222,10 @@ func TestEncodeRingMatchesEncodeLocal(t *testing.T) {
 	}
 }
 
-func TestDecodeRingRecoversLostRank(t *testing.T) {
+// TestXORRebuildRecoversLostRank: over plain channels, the rebuild's
+// one ring pass hands the replacement exactly the lost checkpoint for
+// every group size and lost index.
+func TestXORRebuildRecoversLostRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, g := range []int{2, 3, 5, 8} {
 		data := randData(rng, g, 400)
@@ -235,49 +238,17 @@ func TestDecodeRingRecoversLostRank(t *testing.T) {
 		chunkLen := ChunkLen(maxSize, g)
 		parity, _ := EncodeLocal(data)
 		for lost := 0; lost < g; lost++ {
-			lost := lost
 			results := runRing(t, g, func(i int, gc GroupComm) ([]byte, error) {
 				if i == lost {
-					// Restarted rank: no data, fresh zero parity.
-					return DecodeRing(gc, i, g, nil, chunkLen, make([]byte, chunkLen), false)
+					// Restarted rank: no data, no parity.
+					out, _, err := XORRing{}.Rebuild(gc, i, g, []int{lost}, nil, nil, chunkLen)
+					return out, err
 				}
-				return DecodeRing(gc, i, g, data[i], chunkLen, parity[i], true)
+				out, _, err := XORRing{}.Rebuild(gc, i, g, []int{lost}, data[i], parity[i], chunkLen)
+				return out, err
 			})
-			// Assemble the lost checkpoint from the survivors' results.
-			rebuilt := make([]byte, (g-1)*chunkLen)
-			for i := 0; i < g; i++ {
-				if i == lost {
-					continue
-				}
-				k := DecodeChunkIndex(lost, i, g)
-				if k == 0 {
-					t.Fatalf("survivor %d claims chunk 0", i)
-				}
-				copy(rebuilt[(k-1)*chunkLen:], results[i])
-			}
-			if !bytes.Equal(rebuilt[:len(data[lost])], data[lost]) {
-				t.Fatalf("g=%d lost=%d: ring decode mismatch", g, lost)
-			}
-		}
-	}
-}
-
-func TestDecodeChunkIndexCoversAll(t *testing.T) {
-	for _, g := range []int{2, 4, 9} {
-		for lost := 0; lost < g; lost++ {
-			seen := map[int]bool{}
-			for i := 0; i < g; i++ {
-				if i == lost {
-					continue
-				}
-				k := DecodeChunkIndex(lost, i, g)
-				if k < 1 || k >= g {
-					t.Fatalf("g=%d lost=%d survivor=%d: chunk index %d out of range", g, lost, i, k)
-				}
-				if seen[k] {
-					t.Fatalf("duplicate chunk index %d", k)
-				}
-				seen[k] = true
+			if !bytes.Equal(results[lost][:len(data[lost])], data[lost]) {
+				t.Fatalf("g=%d lost=%d: ring rebuild mismatch", g, lost)
 			}
 		}
 	}

@@ -12,12 +12,13 @@ import (
 
 // groupComm adapts the FMI transport to ckpt's ring interface for one
 // XOR group; peers are group-local indices. tag separates the
-// checkpoint's encode ring (tagCkptRing) from the recovery's decode
-// and re-encode (tagCkptRebuild).
+// checkpoint's encode ring (tagCkptRing) from the recovery's rebuild
+// (tagCkptRebuild).
 type groupComm struct {
-	p       *Proc
-	members []int // world ranks
-	tag     int32
+	p         *Proc
+	members   []int // world ranks
+	tag       int32
+	decodedAt time.Time // when a rebuild's decode ended (ckpt.PhaseTimer)
 }
 
 func (gc *groupComm) Send(peer int, data []byte) error {
@@ -49,6 +50,9 @@ func (gc *groupComm) Get(n int) []byte { return gc.p.pool.Get(n) }
 func (gc *groupComm) Forward(peer int, buf []byte) error {
 	return gc.p.forwardRaw(gc.members[peer], ctxWorld, gc.tag, transport.KindCkpt, buf)
 }
+
+// DecodeDone implements ckpt.PhaseTimer.
+func (gc *groupComm) DecodeDone() { gc.decodedAt = time.Now() }
 
 // groupMeta is exchanged within a group at encode time so any survivor
 // can brief a restarted member. In local mode it carries the sender's
@@ -365,7 +369,7 @@ func (p *Proc) checkpoint(id int, segs [][]byte) error {
 		}
 		chunkLen := p.coder.ChunkLen(maxSize, g)
 		encStart := time.Now()
-		parity, err := p.coder.Encode(&groupComm{p, group, tagCkptRing}, gi, g, snap.Data, chunkLen)
+		parity, err := p.coder.Encode(&groupComm{p: p, members: group, tag: tagCkptRing}, gi, g, snap.Data, chunkLen)
 		if err != nil {
 			// Encode sends from the snapshot only by copy (the transports
 			// copy an unowned payload at Send; only received chains are

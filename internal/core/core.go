@@ -83,7 +83,7 @@ const (
 	tagCkptRing    int32 = -20 // checkpoint encode ring traffic
 	tagCkptSize    int32 = -21 // group size exchange
 	tagCkptMeta    int32 = -22 // runtime meta to restarted ranks
-	tagCkptRebuild int32 = -23 // recovery decode + re-encode ring traffic
+	tagCkptRebuild int32 = -23 // recovery rebuild traffic (decode + gather)
 	tagCkptAgree   int32 = -24 // checkpoint completion tree
 	// tagShadowSync carries a primary's full state snapshot to a
 	// re-provisioned shadow (replica recovery); sent directly, never

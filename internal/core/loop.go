@@ -430,17 +430,24 @@ func (p *Proc) barrierH3(coord *bootstrap.Coordinator, cancel <-chan struct{}) e
 	return nil
 }
 
-// groupRestore reconstructs the checkpoints of the replaced ranks
-// within this process's checkpoint group (paper Fig 11: decode +
-// gather, generalised to the configured Coder so RS(k,m) groups repair
-// up to m simultaneous losses), then re-encodes so the group regains
-// full redundancy.
+// groupRestore rebuilds the checkpoints of the replaced ranks within
+// this process's checkpoint group (paper Fig 11: decode + gather,
+// generalised to the configured Coder so RS(k,m) groups repair up to m
+// simultaneous losses). The coder's one Rebuild pass also hands each
+// replacement its parity and leaves the survivors' parity valid, so
+// the group regains full redundancy without a re-encode.
 func (p *Proc) groupRestore(group []int, gi int, infos []availInfo, restoreID int) error {
 	g := len(group)
 	var lost []int
+	amLost := false
+	informant := 0 // the lowest-indexed survivor briefs the replacements
 	for i, r := range group {
 		if infos[r].IsReplacement {
 			lost = append(lost, i)
+			amLost = amLost || i == gi
+			if i == informant {
+				informant++
+			}
 		}
 	}
 	if len(lost) == 0 {
@@ -455,19 +462,9 @@ func (p *Proc) groupRestore(group []int, gi int, infos []availInfo, restoreID in
 	// messages its peers already sent for that checkpoint are carried
 	// across the fence in its queue — on tagCkptRing the decode would
 	// consume them as shards of the restore point.
-	gc := &groupComm{p, group, tagCkptRebuild}
-	lostSet := make(map[int]bool, len(lost))
-	for _, li := range lost {
-		lostSet[li] = true
-	}
+	gc := &groupComm{p: p, members: group, tag: tagCkptRebuild}
 
-	// The informant (lowest-indexed survivor) briefs the replacements.
-	informant := 0
-	for lostSet[informant] {
-		informant++
-	}
-
-	if !lostSet[gi] {
+	if !amLost {
 		e := p.committed
 		if e == nil || e.Snap.LoopID != restoreID || e.Parity == nil {
 			return fmt.Errorf("%w: survivor rank %d missing checkpoint %d for group decode", ErrUnrecoverable, p.rank, restoreID)
@@ -489,24 +486,16 @@ func (p *Proc) groupRestore(group []int, gi int, infos []availInfo, restoreID in
 				}
 			}
 		}
-		if _, err := p.coder.Reconstruct(gc, gi, g, lost, e.Snap.Data, e.Parity, e.ChunkLen); err != nil {
+		start := time.Now()
+		if _, _, err := p.coder.Rebuild(gc, gi, g, lost, e.Snap.Data, e.Parity, e.ChunkLen); err != nil {
 			return ErrFailureDetected
 		}
-		// Restore redundancy for the rebuilt members.
-		parity, err := p.coder.Encode(gc, gi, g, e.Snap.Data, e.ChunkLen)
-		if err != nil {
-			return ErrFailureDetected
-		}
-		if e.pooledParity {
-			p.pool.Put(e.Parity)
-		}
-		e.Parity = parity
-		e.pooledParity = p.pool != nil
+		p.traceRebuild(gc, start, "survivor", len(lost), g)
 		return nil
 	}
 
-	// This process is a replacement: receive the brief, gather the
-	// survivors' shards into the lost checkpoint, re-encode for parity.
+	// This process is a replacement: receive the brief, then rebuild
+	// its checkpoint and parity from the survivors' shards.
 	msg, err := p.recvRaw(ctxWorld, int32(group[informant]), tagCkptMeta)
 	if err != nil {
 		return ErrFailureDetected
@@ -517,19 +506,13 @@ func (p *Proc) groupRestore(group []int, gi int, infos []availInfo, restoreID in
 		return fmt.Errorf("%w: %v", ErrUnrecoverable, err)
 	}
 	start := time.Now()
-	data, err := p.coder.Reconstruct(gc, gi, g, lost, nil, nil, b.ChunkLen)
+	data, parity, err := p.coder.Rebuild(gc, gi, g, lost, nil, nil, b.ChunkLen)
 	if err != nil {
 		return ErrFailureDetected
 	}
 	mySize := b.Sizes[gi]
 	snap := ckpt.FromData(b.RestoreID, data[:mySize], b.Shapes[gi])
-	p.cfg.Trace.Add(trace.KindShardRebuild, p.rank, p.epoch,
-		"%s rebuild: %d B from in-memory shards in %v (%d lost in group of %d)",
-		p.coder.Scheme(), mySize, time.Since(start), len(lost), g)
-	parity, err := p.coder.Encode(gc, gi, g, snap.Data, b.ChunkLen)
-	if err != nil {
-		return ErrFailureDetected
-	}
+	p.traceRebuild(gc, start, fmt.Sprintf("replacement of %d B", mySize), len(lost), g)
 	p.recycleEntry(p.committed)
 	p.committed = &entryExt{
 		Entry: &ckpt.Entry{
@@ -549,7 +532,7 @@ func (p *Proc) groupRestore(group []int, gi int, infos []availInfo, restoreID in
 		ViewVersion:    p.viewVersion(),
 		GroupMsgStates: b.MsgStates,
 		// The rebuilt snapshot is a prefix of the coder's arena gather
-		// buffer and the re-encoded parity an arena frame: both recycle.
+		// buffer and the rebuilt parity an arena frame: both recycle.
 		pooledSnap:   p.pool != nil,
 		pooledParity: p.pool != nil,
 	}
@@ -560,6 +543,14 @@ func (p *Proc) groupRestore(group []int, gi int, infos []availInfo, restoreID in
 		}
 	}
 	return nil
+}
+
+// traceRebuild records this member's part in a group rebuild: its
+// role and the coder's decode and gather phases (ckpt.PhaseTimer).
+func (p *Proc) traceRebuild(gc *groupComm, start time.Time, role string, lost, g int) {
+	p.cfg.Trace.Add(trace.KindShardRebuild, p.rank, p.epoch,
+		"%s rebuild as %s: decode %v, gather %v (%d lost in group of %d)",
+		p.coder.Scheme(), role, gc.decodedAt.Sub(start), time.Since(gc.decodedAt), lost, g)
 }
 
 // restoreMsgState adopts the checkpointed messaging state on a

@@ -81,7 +81,8 @@ func ErasureSweep(ms []int, groupSize, bytesPerRank int) ([]ErasurePoint, error)
 		}
 
 		// --- Recover: members 0..tol-1 are lost; survivors contribute,
-		// replacements rebuild from the surviving in-memory shards.
+		// replacements rebuild their checkpoints and parity from the
+		// surviving in-memory shards.
 		lost := make([]int, tol)
 		lostSet := map[int]bool{}
 		for l := range lost {
@@ -95,10 +96,10 @@ func ErasureSweep(ms []int, groupSize, bytesPerRank int) ([]ErasurePoint, error)
 				defer wg.Done()
 				gc := &wgc{w: w, self: i, members: members, meIdx: i, tag: 2}
 				if lostSet[i] {
-					_, errs[i] = coder.Reconstruct(gc, i, g, lost, nil, nil, chunkLen)
+					_, _, errs[i] = coder.Rebuild(gc, i, g, lost, nil, nil, chunkLen)
 					return
 				}
-				_, errs[i] = coder.Reconstruct(gc, i, g, lost, data[i], parities[i], chunkLen)
+				_, _, errs[i] = coder.Rebuild(gc, i, g, lost, data[i], parities[i], chunkLen)
 			}(i)
 		}
 		wg.Wait()
@@ -112,8 +113,8 @@ func ErasureSweep(ms []int, groupSize, bytesPerRank int) ([]ErasurePoint, error)
 
 		out = append(out, ErasurePoint{
 			M: m, GroupSize: g, K: g - tol, Scheme: string(coder.Scheme()),
-			EncodeSeconds: encSec,
-			EncodeMBps:    float64(g) * float64(bytesPerRank) / encSec / 1e6,
+			EncodeSeconds:  encSec,
+			EncodeMBps:     float64(g) * float64(bytesPerRank) / encSec / 1e6,
 			RecoverSeconds: recSec, Losses: tol,
 			ParityBytes:  len(parities[g-1]),
 			OverheadPc:   float64(len(parities[g-1])) / float64(bytesPerRank) * 100,

@@ -48,14 +48,20 @@ func (w *ringWorld) close() {
 	}
 }
 
-// wgc is a ckpt.GroupComm over the ring world for one member.
+// wgc is a ckpt.GroupComm over the ring world for one member. It
+// times a rebuild's phases (ckpt.PhaseTimer): decodedAt is when this
+// member's decode ended.
 type wgc struct {
-	w       *ringWorld
-	self    int   // global index of this member
-	members []int // global indices of the group, in group order
-	meIdx   int   // my index within members
-	tag     int32
+	w         *ringWorld
+	self      int   // global index of this member
+	members   []int // global indices of the group, in group order
+	meIdx     int   // my index within members
+	tag       int32
+	decodedAt time.Time
 }
+
+// DecodeDone implements ckpt.PhaseTimer.
+func (g *wgc) DecodeDone() { g.decodedAt = time.Now() }
 
 func (g *wgc) Send(peer int, data []byte) error {
 	return g.w.eps[g.self].Send(g.w.eps[g.members[peer]].Addr(), transport.Msg{
@@ -79,8 +85,8 @@ type XORPoint struct {
 	MemcpySeconds    float64 // capture memcpy
 	EncodeSeconds    float64 // ring communication + XOR
 	CheckpointTotal  float64
-	DecodeSeconds    float64 // survivors' decode ring
-	GatherSeconds    float64 // chunk gather + reassembly + restore memcpy
+	DecodeSeconds    float64 // decode ring, slowest member
+	GatherSeconds    float64 // replacement's chain gather + restore memcpy
 	RestartTotal     float64
 	ModelCkptSierra  float64 // §V-B model at 6 GB/node on Sierra
 	ModelRestSierra  float64
@@ -146,8 +152,9 @@ func XORGroupSweep(groupSizes []int, bytesPerRank int) ([]XORPoint, error) {
 		wg.Wait()
 		ckptTotal := time.Since(ckptStart).Seconds()
 
-		// --- Restart (Fig 11): lose member 0; survivors decode and
-		// send chunks; the replacement gathers, reassembles, restores.
+		// --- Restart (Fig 11): lose member 0; the group runs the
+		// coder's rebuild (decode, then the replacement gathers), and
+		// the replacement restores the rebuilt checkpoint.
 		const lost = 0
 		var decodeMax, gatherSec float64
 		restartStart := time.Now()
@@ -156,52 +163,30 @@ func XORGroupSweep(groupSizes []int, bytesPerRank int) ([]XORPoint, error) {
 			go func(i int) {
 				defer wg.Done()
 				gc := &wgc{w: w, self: i, members: members, meIdx: i, tag: 2}
-				if i != lost {
-					t0 := time.Now()
-					res, err := ckpt.DecodeRing(gc, i, g, snaps[i].Data, chunkLen, parities[i], true)
-					if err != nil {
-						return
-					}
-					d := time.Since(t0).Seconds()
-					if err := gc.Send(lost, res); err != nil {
-						return
-					}
-					mu.Lock()
-					if d > decodeMax {
-						decodeMax = d
-					}
-					mu.Unlock()
-					return
-				}
-				// The restarted member.
 				t0 := time.Now()
-				if _, err := ckpt.DecodeRing(gc, i, g, nil, chunkLen, make([]byte, chunkLen), false); err != nil {
+				var mine, parity []byte
+				if i != lost {
+					mine, parity = snaps[i].Data, parities[i]
+				}
+				rebuilt, _, err := ckpt.XORRing{}.Rebuild(gc, i, g, []int{lost}, mine, parity, chunkLen)
+				if err != nil {
 					return
 				}
-				tDecode := time.Since(t0).Seconds()
-				t1 := time.Now()
-				rebuilt := make([]byte, (g-1)*chunkLen)
-				for s := 0; s < g; s++ {
-					if s == lost {
-						continue
-					}
-					chunk, err := gc.Recv(s)
-					if err != nil {
+				decode := gc.decodedAt.Sub(t0).Seconds()
+				if i == lost {
+					// Restore memcpy back into the application segment.
+					seg := make([]byte, bytesPerRank)
+					snap := ckpt.FromData(0, rebuilt[:bytesPerRank], []int{bytesPerRank})
+					if err := snap.Restore([][]byte{seg}); err != nil {
 						return
 					}
-					k := ckpt.DecodeChunkIndex(lost, s, g)
-					copy(rebuilt[(k-1)*chunkLen:], chunk)
-				}
-				// Restore memcpy back into the application segment.
-				seg := make([]byte, bytesPerRank)
-				snap := ckpt.FromData(0, rebuilt[:bytesPerRank], []int{bytesPerRank})
-				if err := snap.Restore([][]byte{seg}); err != nil {
-					return
 				}
 				mu.Lock()
-				gatherSec = time.Since(t1).Seconds()
-				if tDecode > decodeMax {
-					decodeMax = tDecode
+				if decode > decodeMax {
+					decodeMax = decode
+				}
+				if i == lost {
+					gatherSec = time.Since(gc.decodedAt).Seconds()
 				}
 				mu.Unlock()
 			}(i)
@@ -313,30 +298,13 @@ func CRThroughputSweep(procCounts []int, groupSize, bytesPerRank int) ([]Through
 				cl := chunkOf(i)
 				gc := &wgc{w: w, self: i, members: groups[i], meIdx: gi, tag: 2}
 				const lost = 0
+				var mine, parity []byte
 				if gi != lost {
-					res, err := ckpt.DecodeRing(gc, gi, g, snaps[i].Data, cl, parities[i], true)
-					if err != nil {
-						return
-					}
-					if err := gc.Send(lost, res); err != nil {
-						return
-					}
-					return
+					mine, parity = snaps[i].Data, parities[i]
 				}
-				if _, err := ckpt.DecodeRing(gc, gi, g, nil, cl, make([]byte, cl), false); err != nil {
+				rebuilt, _, err := ckpt.XORRing{}.Rebuild(gc, gi, g, []int{lost}, mine, parity, cl)
+				if err != nil || gi != lost {
 					return
-				}
-				rebuilt := make([]byte, (g-1)*cl)
-				for s := 0; s < g; s++ {
-					if s == lost {
-						continue
-					}
-					chunk, err := gc.Recv(s)
-					if err != nil {
-						return
-					}
-					k := ckpt.DecodeChunkIndex(lost, s, g)
-					copy(rebuilt[(k-1)*cl:], chunk)
 				}
 				seg := make([]byte, bytesPerRank)
 				copy(seg, rebuilt[:bytesPerRank])

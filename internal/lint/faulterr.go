@@ -29,7 +29,7 @@ var faultAPIs = map[string]map[string]bool{
 	"transport": set("Send", "Recv", "TryRecv", "PostRecv", "Await", "Connect"),
 	"core": set("Send", "Recv", "Sendrecv", "TryRecv", "Isend", "Irecv", "Wait", "WaitAll",
 		"Barrier", "Bcast", "Reduce", "Allreduce", "Gather", "Allgather", "Scatter", "Alltoall"),
-	"ckpt": set("Send", "Recv", "Forward", "Restore", "EncodeRing", "DecodeRing", "Encode", "Reconstruct"),
+	"ckpt": set("Send", "Recv", "Forward", "Restore", "EncodeRing", "Encode", "Rebuild", "Reconstruct"),
 	"coll": set("Send", "Recv"),
 	"fmi": set("Send", "Recv", "Sendrecv", "Barrier", "Bcast", "Reduce", "Allreduce",
 		"Gather", "Allgather", "Scatter", "Alltoall"),

@@ -662,6 +662,32 @@ func (j *Job) rankFinished(rank int, err error) {
 	}
 }
 
+// replicaCopyFailed handles an application error returned by one copy
+// of a replicated rank, primary or shadow: it aborts the job with it.
+// The other copy would otherwise wait for its partner's next
+// checkpoint (pair pacing) until the job timed out. It reports false,
+// leaving the error to the caller, when replication is off or
+// degraded; after the job ended the error is moot (shadows unwind as
+// they are reaped) and it reports true.
+func (j *Job) replicaCopyFailed(rank int, shadow bool, err error) bool {
+	j.mu.Lock()
+	active := j.rep != nil && j.rep.reg.Active()
+	ended := j.endedLocked()
+	j.mu.Unlock()
+	switch {
+	case ended:
+		return true
+	case !active:
+		return false
+	case shadow:
+		err = fmt.Errorf("rank %d (shadow copy): %w", rank, err)
+	default:
+		err = fmt.Errorf("rank %d: %w", rank, err)
+	}
+	j.Abort(err)
+	return true
+}
+
 // taskFailed handles an fmirun.task failure report. In replica mode
 // the failure is first offered to the replication layer, which masks
 // primary losses (shadow promotion) and shadow losses (background

@@ -109,16 +109,24 @@ func (t *task) watch(rank int, cp *cluster.Proc) {
 		t.j.cfg.Trace.Add(trace.KindProcKilled, rank, t.j.Epoch(), "process killed on node %d", t.node.ID)
 		t.fail()
 	case <-cp.DoneCh():
-		if t.isShadow() {
-			// A shadow's exit is not the rank's: completion is reported
-			// by the acting primary, and a deterministic app error will
-			// surface identically from it.
+		shadow := t.isShadow()
+		if shadow {
 			t.mu.Lock()
 			delete(t.children, rank)
 			t.mu.Unlock()
+		}
+		// A killed copy's exit is the kill's, reported above or by the
+		// node failure.
+		err := cp.ExitErr()
+		if err != nil && !cp.Killed() && t.j.replicaCopyFailed(rank, shadow, err) {
 			return
 		}
-		if err := cp.ExitErr(); err != nil {
+		if shadow {
+			// A shadow's clean exit is not the rank's: completion is
+			// reported by the acting primary.
+			return
+		}
+		if err != nil {
 			// Unsuccessful exit: treat like a crash (EXIT_FAILURE path
 			// in the paper) *unless* the job is already completing.
 			t.j.rankFinished(rank, err)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -250,5 +251,56 @@ func TestEnvStore(t *testing.T) {
 	})
 	if count != ranks {
 		t.Fatalf("loads = %d, want %d", count, ranks)
+	}
+}
+
+// TestReplicaCopyErrorFailsJob: when one copy of rank 1 returns an
+// application error the job fails with it, promptly (under a 60 s
+// Timeout, within 5 s), whichever copy errs. Each run picks the first
+// or the second copy of rank 1 to reach loop 5 to return the error;
+// which of them is the shadow is up to the scheduler, so the two
+// choices cover both roles. A shadow's error used to be dropped while
+// it stayed registered, and a primary's left its shadow orphaned; in
+// both cases the other copy then waited for its partner until the job
+// timed out.
+func TestReplicaCopyErrorFailsJob(t *testing.T) {
+	const ranks, iters, at = 4, 12, 5
+	for run := 0; run < 6; run++ {
+		failing := int32(1 + run%2) // which copy to reach loop at fails
+		var reached atomic.Int32
+		var results sync.Map
+		cfg := fastCfg(ranks, 1, 1, 2)
+		cfg.Recovery = "replica"
+		inner := iterApp(iters, &results)
+		app := func(env *Env) error {
+			if env.Rank() != 1 {
+				return inner(env)
+			}
+			state := make([]byte, 16)
+			for {
+				n := env.Loop(state)
+				if n >= iters {
+					break
+				}
+				if n == at && reached.Add(1) == failing {
+					return fmt.Errorf("copy %d failed at loop %d", failing, n)
+				}
+				if _, err := AllreduceInt64(env.World(), SumInt64(), int64(n)); err != nil {
+					continue
+				}
+			}
+			return env.Finalize()
+		}
+		start := time.Now()
+		_, err := Run(cfg, app)
+		if err == nil {
+			t.Fatalf("run %d: Run returned no error", run)
+		}
+		if !strings.Contains(err.Error(), "rank 1") || !strings.Contains(err.Error(), "failed at loop") {
+			t.Fatalf("run %d: error does not name rank 1's failure: %v", run, err)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Fatalf("run %d: Run took %v to fail", run, d)
+		}
 	}
 }
