@@ -30,13 +30,14 @@ soak-transport:
 
 # Soak the recovery protocols: their flakes show only under
 # repetition, so build the root test binary once and run the local,
-# replica, resize, mid-collective and relay-parity rebuild tests
-# SOAK_COUNT times each (a hang shows as the job timeout). Run a
-# second test process beside it to add load.
+# replica, resize, mid-collective, relay-parity rebuild and pooling
+# tests SOAK_COUNT times each (a hang shows as the job timeout; the
+# pooling tests check arena ownership under recovery). Run a second
+# test process beside it to add load.
 SOAK_COUNT ?= 20
 SOAK_BIN ?= ./fmi.soak.test
 soak:
-	$(GO) test -c -o $(SOAK_BIN) . && $(SOAK_BIN) -test.run 'Local|Replica|Resize|MidCollective|RelayParity' -test.count=$(SOAK_COUNT)
+	$(GO) test -c -o $(SOAK_BIN) . && $(SOAK_BIN) -test.run 'Local|Replica|Resize|MidCollective|RelayParity|Pooling' -test.count=$(SOAK_COUNT)
 
 vet:
 	$(GO) vet ./...

@@ -2,6 +2,7 @@ package bootstrap
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -204,6 +205,50 @@ func TestAllGatherCancel(t *testing.T) {
 	close(cancel)
 	if err := <-errCh; err != ErrCancelled {
 		t.Fatalf("err = %v, want ErrCancelled", err)
+	}
+}
+
+// TestAllGatherCompletedBeatsCancel: waiters whose gather completes
+// while their cancel fires (a peer the gather released tore its
+// generation down) get the result, never ErrCancelled: a gather every
+// rank passed is never re-run. The last contributor wakes the waiters
+// one by one, and cancel fires as soon as the gather is complete, so
+// the later waiters see both at once.
+func TestAllGatherCompletedBeatsCancel(t *testing.T) {
+	const waiters = 64
+	for round := 0; round < 20; round++ {
+		coord := NewCoordinator()
+		key := fmt.Sprintf("k%d", round)
+		cancel := make(chan struct{})
+		errs := make(chan error, waiters)
+		for r := 0; r < waiters; r++ {
+			go func(r int) {
+				_, err := coord.AllGather(key, r, waiters+1, nil, cancel)
+				errs <- err
+			}(r)
+		}
+		for n := 0; n < waiters; {
+			runtime.Gosched()
+			coord.mu.Lock()
+			if g := coord.gathers[key]; g != nil {
+				n = len(g.waiters)
+			}
+			coord.mu.Unlock()
+		}
+		go func() {
+			for _, done := coord.completed(key); !done; _, done = coord.completed(key) {
+				runtime.Gosched()
+			}
+			close(cancel)
+		}()
+		if _, ok := coord.TryAllGather(key, waiters, waiters+1, nil); !ok {
+			t.Fatal("the last contribution did not complete the gather")
+		}
+		for r := 0; r < waiters; r++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("round %d: a waiter of a completed gather got %v", round, err)
+			}
+		}
 	}
 }
 

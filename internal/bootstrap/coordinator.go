@@ -77,7 +77,10 @@ func (c *Coordinator) Ops() uint64 {
 // AllGather contributes val for rank under the given key and blocks
 // until all n participants have contributed, returning the values
 // indexed by rank. All participants must agree on n. cancel aborts the
-// wait.
+// wait — unless the gather completed by then: a peer the gather
+// released may be what fired cancel (its teardown closes the rings
+// that notify failures), and a rank cancelled out of a gather every
+// rank passed would wait for a recovery that never comes.
 func (c *Coordinator) AllGather(key string, rank, n int, val []byte, cancel <-chan struct{}) ([][]byte, error) {
 	res, ch, err := c.contribute(key, rank, n, val, true)
 	if ch == nil {
@@ -87,8 +90,22 @@ func (c *Coordinator) AllGather(key string, rank, n int, val []byte, cancel <-ch
 	case res := <-ch:
 		return res.vals, res.err
 	case <-cancel:
+		if res, done := c.completed(key); done {
+			return res, nil
+		}
 		return nil, ErrCancelled
 	}
+}
+
+// completed returns key's result if the gather is complete.
+func (c *Coordinator) completed(key string) ([][]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	g := c.gathers[key]
+	if g == nil || !g.done {
+		return nil, false
+	}
+	return g.result, true
 }
 
 // TryAllGather is AllGather without the wait: it contributes val and

@@ -16,9 +16,11 @@
 //
 //   - Put(buf): the buffer returns to the arena and may be reused
 //     immediately. The caller must not touch it afterwards.
-//   - Detach(buf): ownership permanently leaves the arena economy
-//     (e.g. a payload surfaced to application code that may retain it
-//     forever). The buffer is garbage-collected normally.
+//   - Detach(buf): ownership permanently leaves the arena economy.
+//     The buffer is garbage-collected normally. The runtime now uses
+//     it only for collective block-table results, which go to the
+//     caller; application point-to-point payloads never enter the
+//     arena (the transport's kept mode, transport.FlagKeep).
 //
 // Put also accepts foreign buffers (allocated by make elsewhere) as
 // long as the caller owns them exclusively: they are adopted into the

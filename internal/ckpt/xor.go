@@ -25,42 +25,18 @@
 // rebuilds the lost checkpoint and restores the group's redundancy.
 package ckpt
 
-import "encoding/binary"
+import "crypto/subtle"
 
 // XorInto computes dst ^= src for the overlapping length. It is the
-// hot inner loop shared by both redundancy coders, so it runs 32 bytes
-// per step as four independent 8-byte word XORs (byte order cancels;
-// the four chains have no data dependency, so they pipeline), with a
-// word loop and then a byte loop for the ragged tail.
+// hot inner loop shared by both redundancy coders; crypto/subtle's
+// XORBytes runs it with the platform's vector kernel.
 func XorInto(dst, src []byte) {
-	n := len(dst)
-	if len(src) < n {
-		n = len(src)
-	}
-	i := 0
-	for ; i+32 <= n; i += 32 {
-		d := dst[i : i+32 : i+32]
-		s := src[i : i+32 : i+32]
-		w0 := binary.LittleEndian.Uint64(d[0:]) ^ binary.LittleEndian.Uint64(s[0:])
-		w1 := binary.LittleEndian.Uint64(d[8:]) ^ binary.LittleEndian.Uint64(s[8:])
-		w2 := binary.LittleEndian.Uint64(d[16:]) ^ binary.LittleEndian.Uint64(s[16:])
-		w3 := binary.LittleEndian.Uint64(d[24:]) ^ binary.LittleEndian.Uint64(s[24:])
-		binary.LittleEndian.PutUint64(d[0:], w0)
-		binary.LittleEndian.PutUint64(d[8:], w1)
-		binary.LittleEndian.PutUint64(d[16:], w2)
-		binary.LittleEndian.PutUint64(d[24:], w3)
-	}
-	for ; i+8 <= n; i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:],
-			binary.LittleEndian.Uint64(dst[i:])^binary.LittleEndian.Uint64(src[i:]))
-	}
-	for ; i < n; i++ {
-		dst[i] ^= src[i]
-	}
+	subtle.XORBytes(dst, dst, src)
 }
 
-// xorIntoBytes is the pre-word-stride byte loop, kept only so
-// BenchmarkXorInto can report the stride speedup.
+// xorIntoBytes is the plain byte loop, kept only as
+// TestXorIntoMatchesByteLoop's reference and BenchmarkXorInto's
+// baseline.
 func xorIntoBytes(dst, src []byte) {
 	n := len(dst)
 	if len(src) < n {

@@ -279,12 +279,12 @@ func BenchmarkXorInto64MB(b *testing.B) {
 	}
 }
 
-// BenchmarkXorInto reports the 8-byte word stride against the old byte
+// BenchmarkXorInto reports the XORBytes kernel against the plain byte
 // loop on the same buffers.
 func BenchmarkXorInto(b *testing.B) {
 	dst := make([]byte, 8<<20)
 	src := make([]byte, 8<<20)
-	b.Run("words", func(b *testing.B) {
+	b.Run("kernel", func(b *testing.B) {
 		b.SetBytes(8 << 20)
 		for i := 0; i < b.N; i++ {
 			XorInto(dst, src)
@@ -298,7 +298,7 @@ func BenchmarkXorInto(b *testing.B) {
 	})
 }
 
-// The stride rewrite must stay exactly equivalent to the byte loop,
+// The kernel must stay exactly equivalent to the byte loop,
 // including ragged lengths and mismatched dst/src sizes.
 func TestXorIntoMatchesByteLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))

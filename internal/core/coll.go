@@ -63,14 +63,68 @@ func (t collTP) Release(buf []byte) { t.c.p.pool.Put(buf) }
 // it leaves the arena's accounting.
 func (t collTP) Detach(buf []byte) { t.c.p.pool.Detach(buf) }
 
-// selectAlgo consults the policy and records the choice in the trace
-// (the coll-algo event), making per-operation algorithm selection
-// observable in timelines.
+// selectAlgo consults the policy and, when a recorder is set, records
+// the choice in the trace (the coll-algo event), making per-operation
+// algorithm selection observable in timelines.
 func (c *Comm) selectAlgo(op coll.Opcode, bytes int) coll.Algo {
 	algo := c.p.cfg.Coll.Select(op, bytes, c.Size())
-	c.p.cfg.Trace.Add(trace.KindCollAlgo, c.p.rank, c.p.epoch,
-		"%s algo=%s bytes=%d n=%d", op, algo, bytes, c.Size())
+	if c.p.cfg.Trace != nil {
+		c.p.cfg.Trace.Add(trace.KindCollAlgo, c.p.rank, c.p.epoch,
+			"%s algo=%s bytes=%d n=%d", op, algo, bytes, c.Size())
+	}
 	return algo
+}
+
+// schedKey names one generated schedule: the operation, its algorithm,
+// this rank's index, the communicator size and the root (0 for rootless
+// operations).
+type schedKey struct {
+	op           coll.Opcode
+	algo         coll.Algo
+	idx, n, root int
+}
+
+// schedule returns this rank's schedule of op under algo, generated
+// once per key and cached on the communicator: schedules are pure and
+// Exec never mutates them. The key carries the size, so a resized world
+// communicator gets schedules for its new size.
+func (c *Comm) schedule(op coll.Opcode, algo coll.Algo, root int) (*coll.Schedule, error) {
+	k := schedKey{op: op, algo: algo, idx: c.myIdx, n: c.Size(), root: root}
+	if s, ok := c.scheds[k]; ok {
+		return s, nil
+	}
+	s, err := genSchedule(k)
+	if err != nil {
+		return nil, err
+	}
+	if c.scheds == nil {
+		c.scheds = make(map[schedKey]*coll.Schedule)
+	}
+	c.scheds[k] = s
+	return s, nil
+}
+
+// genSchedule runs the generator k names.
+func genSchedule(k schedKey) (*coll.Schedule, error) {
+	switch k.op {
+	case coll.OpBcast:
+		return coll.Bcast(k.algo, k.idx, k.n, k.root)
+	case coll.OpReduce:
+		return coll.Reduce(k.algo, k.idx, k.n, k.root)
+	case coll.OpBarrier:
+		return coll.Barrier(k.algo, k.idx, k.n)
+	case coll.OpAllreduce:
+		return coll.Allreduce(k.algo, k.idx, k.n)
+	case coll.OpAllgather:
+		return coll.Allgather(k.algo, k.idx, k.n)
+	case coll.OpAlltoall:
+		return coll.Alltoall(k.algo, k.idx, k.n)
+	case coll.OpGather:
+		return coll.Gather(k.algo, k.idx, k.n, k.root)
+	case coll.OpScatter:
+		return coll.Scatter(k.algo, k.idx, k.n, k.root)
+	}
+	return nil, fmt.Errorf("fmi: no schedule generator for %s", k.op)
 }
 
 // exec drives a schedule over this communicator on the given reserved
@@ -90,14 +144,14 @@ func (c *Comm) agreeBcast(tag int32, payload []byte) ([]byte, error) {
 	if c.Size() == 1 {
 		return payload, nil
 	}
-	up, err := coll.Reduce(coll.AlgoBinomial, c.myIdx, c.Size(), 0)
+	up, err := c.schedule(coll.OpReduce, coll.AlgoBinomial, 0)
 	if err != nil {
 		return nil, err
 	}
 	if err := c.exec(tag, up, [][]byte{nil}, nil); err != nil {
 		return nil, err
 	}
-	dn, err := coll.Bcast(coll.AlgoBinomial, c.myIdx, c.Size(), 0)
+	dn, err := c.schedule(coll.OpBcast, coll.AlgoBinomial, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +216,7 @@ func (c *Comm) Barrier() error {
 	if c.Size() == 1 {
 		return nil
 	}
-	s, err := coll.Barrier(c.selectAlgo(coll.OpBarrier, 0), c.myIdx, c.Size())
+	s, err := c.schedule(coll.OpBarrier, c.selectAlgo(coll.OpBarrier, 0), 0)
 	if err != nil {
 		return err
 	}
@@ -192,7 +246,7 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	if c.Size() == 1 {
 		return data, nil
 	}
-	s, err := coll.Bcast(c.selectAlgo(coll.OpBcast, len(data)), c.myIdx, c.Size(), root)
+	s, err := c.schedule(coll.OpBcast, c.selectAlgo(coll.OpBcast, len(data)), root)
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +284,7 @@ func (c *Comm) Reduce(root int, data []byte, op Op) ([]byte, error) {
 	}
 	acc := append([]byte(nil), data...)
 	if c.Size() > 1 {
-		s, err := coll.Reduce(c.selectAlgo(coll.OpReduce, len(data)), c.myIdx, c.Size(), root)
+		s, err := c.schedule(coll.OpReduce, c.selectAlgo(coll.OpReduce, len(data)), root)
 		if err != nil {
 			return nil, err
 		}
@@ -269,7 +323,7 @@ func (c *Comm) Allreduce(data []byte, op Op) ([]byte, error) {
 		return buf, nil
 	}
 	algo := c.selectAlgo(coll.OpAllreduce, len(data))
-	s, err := coll.Allreduce(algo, c.myIdx, n)
+	s, err := c.schedule(coll.OpAllreduce, algo, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +383,7 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 		return vals, nil
 	}
 	n := c.Size()
-	s, err := coll.Gather(c.selectAlgo(coll.OpGather, len(data)), c.myIdx, n, root)
+	s, err := c.schedule(coll.OpGather, c.selectAlgo(coll.OpGather, len(data)), root)
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +409,7 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 		return c.coordExchange("allgather", data)
 	}
 	n := c.Size()
-	s, err := coll.Allgather(c.selectAlgo(coll.OpAllgather, len(data)), c.myIdx, n)
+	s, err := c.schedule(coll.OpAllgather, c.selectAlgo(coll.OpAllgather, len(data)), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -404,7 +458,7 @@ func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
 			total += len(p)
 		}
 	}
-	s, err := coll.Scatter(c.selectAlgo(coll.OpScatter, total), c.myIdx, n, root)
+	s, err := c.schedule(coll.OpScatter, c.selectAlgo(coll.OpScatter, total), root)
 	if err != nil {
 		return nil, err
 	}
@@ -456,7 +510,7 @@ func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
 	for _, p := range parts {
 		total += len(p)
 	}
-	s, err := coll.Alltoall(c.selectAlgo(coll.OpAlltoall, total), c.myIdx, n)
+	s, err := c.schedule(coll.OpAlltoall, c.selectAlgo(coll.OpAlltoall, total), 0)
 	if err != nil {
 		return nil, err
 	}

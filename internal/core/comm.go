@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"fmi/internal/coll"
 )
 
 // Comm is an FMI communicator: an ordered list of world ranks plus a
@@ -24,6 +26,10 @@ type Comm struct {
 	// phase (including any Bcast of configuration data) and obtain the
 	// original results.
 	collSeq int
+
+	// scheds caches the collective schedules this rank generated on the
+	// communicator (see schedule).
+	scheds map[schedKey]*coll.Schedule
 }
 
 func newWorldComm(p *Proc) *Comm {

@@ -86,7 +86,7 @@ func (f *fakeCtl) bump() {
 	for _, w := range ws {
 		w <- e
 	}
-	for _, prefix := range []string{"h1", "h2", "avail", "h3", "finalize"} {
+	for _, prefix := range []string{"h1", "avail", "h3", "finalize"} {
 		f.coord.AbortGather(fmt.Sprintf("%s/%d", prefix, old), ErrFailureDetected)
 	}
 }

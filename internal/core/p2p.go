@@ -12,7 +12,8 @@ import (
 // replay from the sender-based message log: every data-plane send is
 // assigned a per-(sender, receiver) sequence number and a copy is
 // retained until a checkpoint commit acknowledges it. The transport
-// copies payload, so the caller may reuse it at once.
+// copies payload, so the caller may reuse it at once: a user payload
+// once, into the buffer the receiving application keeps (keepFlag).
 func (p *Proc) sendRaw(world int, ctx uint32, tag int32, kind byte, payload []byte) error {
 	return p.sendFrame(world, ctx, tag, kind, payload, false)
 }
@@ -51,12 +52,24 @@ func (p *Proc) sendFrame(world int, ctx uint32, tag int32, kind byte, payload []
 		View:  p.viewVersion(),
 		Seq:   seq,
 		Kind:  kind,
+		Flags: keepFlag(kind),
 		Data:  payload,
 	}
 	if owned {
 		msg.Handoff(p.pool)
 	}
 	return p.gen.ep.Send(addr, msg)
+}
+
+// keepFlag marks every user payload FlagKeep: the receiver hands it to
+// application code, so the transport delivers it in a buffer of its
+// own rather than an arena frame the application would never release.
+// Runtime traffic (collective, checkpoint, control) stays on the arena.
+func keepFlag(kind byte) byte {
+	if kind == transport.KindUser {
+		return transport.FlagKeep
+	}
+	return 0
 }
 
 // recvRaw blocks for a matching message, aborting on failure
@@ -139,10 +152,9 @@ func (c *Comm) Recv(src, tag int) (data []byte, from int, err error) {
 	if err != nil {
 		return nil, -1, err
 	}
-	// Detach: the payload's ownership passes to the application, so the
-	// arena stops tracking the frame (it is reclaimed by the GC, not by
-	// a Put the application never issues).
-	return msg.Detach(), c.Translate(int(msg.Src)), nil
+	// A user payload arrives kept (keepFlag): it is the application's
+	// outright, outside the arena.
+	return msg.Data, c.Translate(int(msg.Src)), nil
 }
 
 // Sendrecv posts the receive, performs the send, and waits for the
@@ -183,7 +195,7 @@ func (c *Comm) TryRecv(src, tag int) (data []byte, from int, ok bool, err error)
 	if !got {
 		return nil, -1, false, nil
 	}
-	return msg.Detach(), c.Translate(int(msg.Src)), true, nil
+	return msg.Data, c.Translate(int(msg.Src)), true, nil
 }
 
 // Request is a pending nonblocking operation. A receive is awaited
@@ -211,7 +223,7 @@ func (r *Request) Wait() (data []byte, from int, err error) {
 		msg, err := r.pend.Await(r.gen.cancelCh)
 		if err == nil {
 			r.pend = nil
-			r.data, r.from = msg.Detach(), r.c.Translate(int(msg.Src))
+			r.data, r.from = msg.Data, r.c.Translate(int(msg.Src))
 			break
 		}
 		p := r.c.p

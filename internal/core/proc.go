@@ -477,8 +477,10 @@ func (p *Proc) protocol() (rendezvous func(*generation, <-chan struct{}) error, 
 }
 
 // treeRendezvous is the rollback protocols' rendezvous: H1 endpoint
-// exchange over the bootstrap tree, the H2 log-ring, and a barrier so
-// no sender races the ring construction.
+// exchange over the bootstrap tree, then the H2 log-ring. It ends
+// without a barrier: every rank's next step is negotiateRestore's
+// avail all-gather, which no rank leaves before every rank has built
+// its ring, so no sender races the ring construction.
 func (p *Proc) treeRendezvous(g *generation, cancel <-chan struct{}) error {
 	table, _, err := bootstrap.TreeExchange(bootstrap.Proc{
 		Rank: p.rank, N: p.n, Addr: g.ep.Addr(), EP: g.ep, M: g.m,
@@ -498,7 +500,7 @@ func (p *Proc) treeRendezvous(g *generation, cancel <-chan struct{}) error {
 		return err
 	}
 	g.ring = ring
-	return p.cfg.Ctl.Coordinator().Barrier(fmt.Sprintf("h2/%d", p.epoch), p.rank, p.n, cancel)
+	return nil
 }
 
 // mergeCancel returns a channel closed when either input fires; call

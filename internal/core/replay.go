@@ -87,7 +87,7 @@ func (p *Proc) replayExchange() error {
 				View:  p.viewVersion(),
 				Seq:   e.Seq,
 				Kind:  e.Kind,
-				Flags: transport.FlagReplay,
+				Flags: transport.FlagReplay | keepFlag(e.Kind),
 				Data:  e.Data,
 			})
 		}

@@ -105,6 +105,7 @@ func (p *Proc) sendReplica(world int, ctx uint32, tag int32, kind byte, payload 
 		View:  p.viewVersion(),
 		Seq:   p.repSeq[world],
 		Kind:  kind,
+		Flags: keepFlag(kind),
 		Data:  payload,
 	}
 	mirror := msg

@@ -738,7 +738,7 @@ func (j *Job) failNode(t *task) {
 	j.mu.Unlock()
 
 	// Unblock every rendezvous of the superseded epoch.
-	for _, prefix := range []string{"h1", "h2", "avail", "h3", "replay", "finalize"} {
+	for _, prefix := range []string{"h1", "avail", "h3", "replay", "finalize"} {
 		j.coord.AbortGather(fmt.Sprintf("%s/%d", prefix, oldEpoch), core.ErrFailureDetected)
 	}
 

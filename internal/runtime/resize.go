@@ -635,7 +635,7 @@ func (j *Job) commitResize(rs *resizeState) {
 
 	// Supersede every rendezvous keyed by the old epoch: survivors
 	// re-negotiate at newEpoch with the new world size.
-	for _, prefix := range []string{"h1", "h2", "avail", "h3", "replay", "finalize"} {
+	for _, prefix := range []string{"h1", "avail", "h3", "replay", "finalize"} {
 		j.coord.AbortGather(fmt.Sprintf("%s/%d", prefix, oldEpoch), core.ErrFailureDetected)
 	}
 	for _, cp := range retiredProcs {

@@ -38,11 +38,35 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 	return ln.Addr(), nil
 }
 
+// closeListener closes the listener and every connection being
+// served; a connection handed to a worker after this is closed at once
+// (trackConn).
 func (s *Server) closeListener() {
 	s.lnMu.Lock()
 	if s.ln != nil {
 		s.ln.Close()
 	}
+	for c := range s.conns {
+		c.Close()
+	}
+	s.lnMu.Unlock()
+}
+
+// trackConn registers c as being served, or reports false once the
+// server is closing.
+func (s *Server) trackConn(c net.Conn) bool {
+	s.lnMu.Lock()
+	defer s.lnMu.Unlock()
+	if s.closing.Load() {
+		return false
+	}
+	s.conns[c] = struct{}{}
+	return true
+}
+
+func (s *Server) untrackConn(c net.Conn) {
+	s.lnMu.Lock()
+	delete(s.conns, c)
 	s.lnMu.Unlock()
 }
 
@@ -88,6 +112,11 @@ const maxBody = 64 << 10
 // serveConn drives one connection's keep-alive loop; it is the worker
 // pool's serve function.
 func (s *Server) serveConn(c net.Conn) {
+	if !s.trackConn(c) {
+		c.Close()
+		return
+	}
+	defer s.untrackConn(c)
 	st := connStatePool.Get().(*connState)
 	st.br.Reset(c)
 	for {

@@ -16,12 +16,11 @@ import (
 // startHTTP boots a server on a free port and returns its base URL.
 func startHTTP(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
-	s := New(cfg)
+	s := newServer(t, cfg)
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	t.Cleanup(s.Close)
 	return s, "http://" + addr.String()
 }
 

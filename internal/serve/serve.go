@@ -187,8 +187,9 @@ type Server struct {
 	closing atomic.Bool
 	wg      sync.WaitGroup
 
-	lnMu sync.Mutex
-	ln   net.Listener
+	lnMu  sync.Mutex
+	ln    net.Listener
+	conns map[net.Conn]struct{} // connections being served; Close closes them
 
 	mu        sync.RWMutex
 	jobs      map[string]*jobRec
@@ -216,6 +217,7 @@ func New(cfg Config) *Server {
 		clock:     newCoarseClock(cfg.ClockRes),
 		startNs:   time.Now().UnixNano(),
 		closed:    make(chan struct{}),
+		conns:     make(map[net.Conn]struct{}),
 		jobs:      make(map[string]*jobRec),
 		tenants:   make(map[string]*tenant),
 		nodeOwner: make(map[int]*jobRec),
@@ -254,8 +256,10 @@ func (s *Server) sweepLoop() {
 	}
 }
 
-// Close shuts the server down: stop accepting, abort running jobs,
-// and wait for job goroutines to drain.
+// Close shuts the server down: stop accepting, close the connections
+// being served (an idle keep-alive connection would otherwise hold its
+// worker until the read deadline), abort running jobs, and wait for
+// the job goroutines and the workers to drain.
 func (s *Server) Close() {
 	if !s.closing.CompareAndSwap(false, true) {
 		return
@@ -264,6 +268,7 @@ func (s *Server) Close() {
 	s.closeListener()
 	s.wp.Stop()
 	s.wg.Wait()
+	s.wp.Wait()
 	s.clock.Stop()
 }
 

@@ -3,11 +3,13 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"fmi/internal/cluster"
+	"fmi/internal/leakcheck"
 )
 
 // testConfig is a small, fast shared cluster for tests.
@@ -22,6 +24,22 @@ func testConfig() Config {
 		JobTimeout:          30 * time.Second,
 		AllowKill:           true,
 	}
+}
+
+// newServer starts a server for the test and, when the test ends,
+// closes it and fails the test if the server or its jobs left a
+// goroutine behind.
+func newServer(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	s := New(cfg)
+	t.Cleanup(func() {
+		s.Close()
+		if err := leakcheck.Settle(base); err != nil {
+			t.Errorf("after the server closed: %v", err)
+		}
+	})
+	return s
 }
 
 func submitOK(t *testing.T, s *Server, spec JobSpec) string {
@@ -44,8 +62,7 @@ func awaitDone(t *testing.T, s *Server, id string) JobStatus {
 
 // TestSingleJob runs one job through the service end to end.
 func TestSingleJob(t *testing.T) {
-	s := New(testConfig())
-	defer s.Close()
+	s := newServer(t, testConfig())
 	id := submitOK(t, s, JobSpec{Tenant: "t0", App: "allreduce", Ranks: 4, Iters: 5})
 	st := awaitDone(t, s, id)
 	if st.State != "done" {
@@ -66,8 +83,7 @@ func TestSingleJob(t *testing.T) {
 // rollback, no stalled queue — while A's jobs all recover and finish
 // correctly on leased spares.
 func TestTenantIsolation(t *testing.T) {
-	s := New(testConfig())
-	defer s.Close()
+	s := newServer(t, testConfig())
 
 	specA := JobSpec{Tenant: "acme", App: "allreduce", Ranks: 4, Iters: 8, Interval: 2, StepMs: 10}
 	specB := JobSpec{Tenant: "bloom", App: "allreduce", Ranks: 4, Iters: 8, Interval: 2, StepMs: 10}
@@ -141,8 +157,7 @@ func TestQueueOverflow(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueDepth = 2
 	cfg.MaxRunningPerTenant = 1
-	s := New(cfg)
-	defer s.Close()
+	s := newServer(t, cfg)
 
 	// Long-ish jobs so the queue stays occupied.
 	spec := JobSpec{Tenant: "glut", App: "allreduce", Ranks: 4, Iters: 10, StepMs: 10}
@@ -253,8 +268,7 @@ func fakeJob(clu *cluster.Cluster, tenant string) *jobRec {
 // status response — id lookup, JSON body, header block — allocates at
 // most one buffer per request, and that buffer comes from the arena.
 func TestStatusHotPathAllocs(t *testing.T) {
-	s := New(testConfig())
-	defer s.Close()
+	s := newServer(t, testConfig())
 	id := submitOK(t, s, JobSpec{Tenant: "hot", App: "noop", Ranks: 2, Iters: 3})
 	awaitDone(t, s, id)
 	idB := []byte(id)
@@ -285,8 +299,7 @@ func TestStatusHotPathAllocs(t *testing.T) {
 func TestStatusRendersValidJSON(t *testing.T) {
 	cfg := testConfig()
 	cfg.JobTimeout = 200 * time.Millisecond
-	s := New(cfg)
-	defer s.Close()
+	s := newServer(t, cfg)
 	// A job that cannot finish in time: iterations far beyond the
 	// timeout budget ensure a timeout abort and an error status.
 	id := submitOK(t, s, JobSpec{Tenant: "sad", App: "allreduce", Ranks: 4, Iters: 100000, TimeoutMs: 200})
@@ -309,8 +322,7 @@ func TestStatusRendersValidJSON(t *testing.T) {
 func TestKillDisabled(t *testing.T) {
 	cfg := testConfig()
 	cfg.AllowKill = false
-	s := New(cfg)
-	defer s.Close()
+	s := newServer(t, cfg)
 	id := submitOK(t, s, JobSpec{Tenant: "t", App: "noop", Ranks: 2, Iters: 3})
 	awaitDone(t, s, id)
 	// The HTTP layer gates on AllowKill; exercised in http_test.go. At
@@ -344,8 +356,7 @@ func awaitRunning(t *testing.T, s *Server, id string) {
 // through the service API, checking the membership view advances, the
 // job completes, and every compute node is accounted for afterwards.
 func TestElasticResize(t *testing.T) {
-	s := New(testConfig())
-	defer s.Close()
+	s := newServer(t, testConfig())
 	id := submitOK(t, s, JobSpec{Tenant: "el", App: "noop", Ranks: 2, Iters: 60, StepMs: 10, Elastic: true})
 	awaitRunning(t, s, id)
 
@@ -388,8 +399,7 @@ func TestElasticResize(t *testing.T) {
 // TestResizeRejections pins the resize error surface: unknown job,
 // non-elastic job, bad target, and insufficient compute capacity.
 func TestResizeRejections(t *testing.T) {
-	s := New(testConfig())
-	defer s.Close()
+	s := newServer(t, testConfig())
 	if _, err := s.Resize("j-999", 4); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown job: %v, want ErrNotFound", err)
 	}
@@ -416,8 +426,7 @@ func TestResizeRejections(t *testing.T) {
 
 // TestBadSpecs pins validation errors.
 func TestBadSpecs(t *testing.T) {
-	s := New(testConfig())
-	defer s.Close()
+	s := newServer(t, testConfig())
 	cases := []JobSpec{
 		{Tenant: "", App: "noop", Ranks: 2},
 		{Tenant: "t", App: "nope", Ranks: 2},

@@ -28,6 +28,8 @@ type workerPool struct {
 	ready   []*workerChan // LIFO stack of parked workers
 	count   int           // live workers (parked + busy)
 	stopped bool
+
+	live sync.WaitGroup // one per worker goroutine (Wait)
 }
 
 // workerChan is one parked worker: a handoff channel and the coarse
@@ -68,6 +70,7 @@ func (wp *workerPool) getCh() *workerChan {
 		return nil
 	}
 	wp.count++
+	wp.live.Add(1)
 	wp.mu.Unlock()
 	ch := &workerChan{ch: make(chan net.Conn, 1)}
 	go wp.workerLoop(ch)
@@ -86,6 +89,7 @@ func (wp *workerPool) workerLoop(ch *workerChan) {
 	wp.mu.Lock()
 	wp.count--
 	wp.mu.Unlock()
+	wp.live.Done()
 }
 
 // release parks the worker back on the ready stack; false means the
@@ -139,3 +143,7 @@ func (wp *workerPool) Stop() {
 		close(ch.ch)
 	}
 }
+
+// Wait blocks until every worker has exited: after Stop, once the
+// connections the busy ones serve are closed.
+func (wp *workerPool) Wait() { wp.live.Wait() }

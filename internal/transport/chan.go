@@ -107,8 +107,10 @@ func (ep *chanEndpoint) isDead() bool {
 //
 // MPI eager-send semantics: the caller may reuse its buffer as soon as
 // Send returns, so an unowned payload is copied here (on a real
-// interconnect the NIC has DMA'd the eager buffer by then); a
-// handed-off frame is published as it is.
+// interconnect the NIC has DMA'd the eager buffer by then): a kept
+// payload (FlagKeep) into the payload-sized buffer the receiver keeps,
+// any other into an arena frame. A handed-off frame is published as it
+// is.
 func (ep *chanEndpoint) Send(to Addr, m Msg) error {
 	if ep.isDead() {
 		m.Release()
@@ -119,7 +121,7 @@ func (ep *chanEndpoint) Send(to Addr, m Msg) error {
 		m.Release()
 		return nil // silent drop
 	}
-	m.own(ep.net.opts.Pool)
+	m.own(ep.net.opts.Pool, true)
 	if !r.publish(m, ep.dead) && ep.isDead() {
 		return ErrClosed
 	}

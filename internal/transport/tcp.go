@@ -211,8 +211,10 @@ func (ep *tcpEndpoint) msgReadLoop(c net.Conn, peer Addr) {
 // one flush per gathered burst; write errors from dead peers tear the
 // connection down silently, matching PSM semantics. An unowned payload
 // is copied into a pooled buffer at enqueue (eager-send: the caller may
-// reuse its buffer once Send returns); a handed-off frame is queued as
-// it is.
+// reuse its buffer once Send returns), kept payloads (FlagKeep)
+// included: the writer recycles the frame once it is on the wire, and
+// the reader makes the buffer the receiver keeps. A handed-off frame is
+// queued as it is.
 func (ep *tcpEndpoint) Send(to Addr, m Msg) error {
 	if ep.isDead() {
 		m.Release()
@@ -223,7 +225,7 @@ func (ep *tcpEndpoint) Send(to Addr, m Msg) error {
 		m.Release()
 		return nil // unreachable: drop
 	}
-	m.own(ep.opts.Pool)
+	m.own(ep.opts.Pool, false)
 	mc.pending.Add(1)
 	select {
 	case mc.q <- m:
@@ -469,7 +471,9 @@ func writeFrame(w *bufio.Writer, hdr *[frameHeaderSize]byte, m Msg) error {
 
 // readFrame decodes one frame, drawing the payload buffer from pool
 // (nil pool = plain make). The returned Msg carries the pool so the
-// consumer can recycle the buffer with Release.
+// consumer can recycle the buffer with Release. A kept payload
+// (FlagKeep) is read into a payload-sized buffer outside the arena
+// instead, which the receiver keeps.
 func readFrame(r *bufio.Reader, pool *bufpool.Arena) (Msg, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -487,8 +491,12 @@ func readFrame(r *bufio.Reader, pool *bufpool.Arena) (Msg, error) {
 		View:  binary.LittleEndian.Uint64(hdr[30:]),
 	}
 	if n > 0 {
-		m.Data = pool.Get(int(n))
-		m.pool = pool
+		if m.Flags&FlagKeep != 0 {
+			m.Data = make([]byte, n)
+		} else {
+			m.Data = pool.Get(int(n))
+			m.pool = pool
+		}
 		if _, err := io.ReadFull(r, m.Data); err != nil {
 			m.Release()
 			return Msg{}, err

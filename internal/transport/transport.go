@@ -58,6 +58,12 @@ const (
 	// number so receivers that already consumed the original suppress
 	// the duplicate.
 	FlagReplay byte = 1 << iota
+	// FlagKeep marks a payload the receiver hands to application code
+	// (every user point-to-point message): it is delivered in a
+	// payload-sized buffer that never enters the arena, so the receiver
+	// keeps it without a Detach. The flag crosses the TCP wire, where
+	// the reader, not the sender, makes that buffer.
+	FlagKeep
 )
 
 // Msg is one framed message. Epoch is the sender's recovery epoch; the
@@ -66,6 +72,12 @@ const (
 // receiver) data-plane sequence number assigned by the sender's
 // message log (local recovery mode); 0 marks unsequenced control
 // traffic exempt from duplicate suppression.
+//
+// A payload travels in one of three modes (see Endpoint.Send): copied
+// into an arena frame (the default: runtime traffic, recycled by the
+// receiver's Release), handed off as an arena frame the sender already
+// owns (Handoff), or kept (FlagKeep: copied once into a payload-sized
+// buffer outside the arena, which the receiver keeps).
 type Msg struct {
 	Src   int32  // sender's world rank
 	Tag   int32  // message tag (negative tags reserved for runtime)
@@ -93,9 +105,17 @@ type Msg struct {
 func (m *Msg) Handoff(pool *bufpool.Arena) { m.pool = pool }
 
 // own makes m's payload a frame the transport owns: a handed-off
-// payload already is one; any other is copied into a frame from pool.
-func (m *Msg) own(pool *bufpool.Arena) {
+// payload already is one; a kept one (FlagKeep), when keep is set, is
+// copied once into a payload-sized buffer that never enters the arena
+// (append rounds the capacity up only to the allocator's size class,
+// and does not zero what it copies over); any other is copied into a
+// frame from pool.
+func (m *Msg) own(pool *bufpool.Arena, keep bool) {
 	if m.pool != nil || len(m.Data) == 0 {
+		return
+	}
+	if keep && m.Flags&FlagKeep != 0 {
+		m.Data = append([]byte(nil), m.Data...)
 		return
 	}
 	cp := pool.Get(len(m.Data))
@@ -120,7 +140,8 @@ func (m *Msg) Release() {
 // Detach surrenders the payload to the caller: the buffer permanently
 // leaves the arena economy (it will be garbage-collected, never
 // reused) and is safe to retain forever. Returns m.Data. Use it when
-// a payload escapes to application code or long-lived runtime state.
+// a pooled payload escapes to long-lived state (collective results);
+// a kept payload (FlagKeep) is outside the arena already.
 func (m *Msg) Detach() []byte {
 	d := m.Data
 	if m.pool != nil {
@@ -189,14 +210,23 @@ type Endpoint interface {
 	// (matching PSM semantics). It returns ErrClosed only if this
 	// endpoint itself is closed.
 	//
-	// Ownership: an unowned payload is copied into a frame from the
-	// arena (eager-send; the caller may reuse its buffer at once). A
-	// payload marked with Handoff is that frame already: it travels
-	// uncopied, and Send owns it from the call on — every drop path
-	// (dead or unknown peer, closed endpoint, dead connection)
-	// Releases it, and a delivered frame is the
-	// receiver's to Release or Detach. The caller must not touch a
-	// handed-off buffer after Send.
+	// Ownership: the caller may reuse an unowned payload as soon as
+	// Send returns (eager-send), and a payload travels in one of three
+	// modes:
+	//
+	//   - Copied: an unowned payload is copied into a frame from the
+	//     arena, which the receiver ends with Release (or Detach).
+	//   - Handed off: a payload marked with Handoff is that frame
+	//     already. It travels uncopied, and Send owns it from the call
+	//     on: every drop path (dead or unknown peer, closed endpoint,
+	//     dead connection) Releases it, and a delivered frame is the
+	//     receiver's to Release or Detach. The caller must not touch a
+	//     handed-off buffer after Send.
+	//   - Kept: an unowned payload flagged FlagKeep reaches the receiver
+	//     in a payload-sized buffer outside the arena (ChanNetwork copies
+	//     it once at Send; TCPNetwork queues an arena frame its writer
+	//     recycles, and its reader reads into a fresh buffer). The
+	//     receiver keeps it with no Release or Detach.
 	Send(to Addr, m Msg) error
 	// Bell, Pump and AddWaiter are the receive side; the endpoint's
 	// Matcher is the intended (single) consumer. Bell is a 1-slot

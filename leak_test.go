@@ -2,11 +2,12 @@ package fmi
 
 import (
 	"fmt"
+	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
-	"time"
+
+	"fmi/internal/leakcheck"
 )
 
 // TestJobLeavesNoGoroutines runs jobs back to back on both transports
@@ -66,28 +67,21 @@ func TestJobLeavesNoGoroutines(t *testing.T) {
 // back to base and fails with the stacks of whatever is still running.
 func checkGoroutines(t *testing.T, name string, base int) {
 	t.Helper()
-	n := runtime.NumGoroutine()
-	for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n > base {
-		buf := make([]byte, 1<<20)
-		dump := string(buf[:runtime.Stack(buf, true)])
-		t.Fatalf("%s: %d goroutines after the job, %d before it; still running:\n%s",
-			name, n, base, leakedStacks(dump))
+	if err := leakcheck.Settle(base); err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
 }
 
-// leakedStacks keeps the goroutines of a full stack dump that are not
-// the test machinery's own.
-func leakedStacks(dump string) string {
-	var keep []string
-	for _, g := range strings.Split(dump, "\n\n") {
-		if strings.Contains(g, "testing.(*T).Run") || strings.Contains(g, "testing.tRunner") ||
-			strings.Contains(g, "testing.(*M)") || strings.Contains(g, "runtime.Stack") {
-			continue
+// TestMain runs the package's tests and then fails the run if they left
+// goroutines behind: any root test's job must end completely.
+func TestMain(m *testing.M) {
+	base := runtime.NumGoroutine()
+	code := m.Run()
+	if code == 0 {
+		if err := leakcheck.Settle(base); err != nil {
+			fmt.Fprintf(os.Stderr, "goroutines left behind by the tests: %v\n", err)
+			code = 1
 		}
-		keep = append(keep, g)
 	}
-	return strings.Join(keep, "\n\n")
+	os.Exit(code)
 }
